@@ -15,13 +15,13 @@ from .filters import Algorithm, FilterConfig
 from .harness import (
     ExperimentConfig,
     emit_outputs,
-    ident_diagnostics,
     run_ident_experiment,
     run_spectrum_experiment,
 )
 from .signals import IdentScenario, SpectrumScenario
 
 IDENT_ALGORITHMS = [a.value for a in Algorithm]
+SNAPSHOT_EVERY = 250
 
 
 def build_parser():
@@ -60,7 +60,13 @@ def build_parser():
     for p in (ident, spectrum):
         p.add_argument("--runs", type=int, default=200 if p is ident else 1, help="Monte Carlo runs")
         p.add_argument("--seed", type=int, default=0, help="base seed; run r uses seed + r")
-        p.add_argument("--snapshot-every", type=int, default=250, help="diagnostic snapshot cadence")
+        p.add_argument(
+            "--snapshot-every",
+            type=int,
+            default=None,
+            help=f"diagnostic snapshot cadence (default {SNAPSHOT_EVERY}, "
+            "for ident at most --signal-len)",
+        )
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
         p.add_argument("--config", default=None, help="JSON file whose values override the flags")
@@ -68,22 +74,44 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(args):
+def _option_types(parser, command):
+    """Map each option of ``command`` to the type argparse converts it with."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.type or str for a in sub.choices[command]._actions}
+
+
+def _apply_config_file(args, parser):
+    """Override ``args`` with the config file's values, each converted as on the command line."""
     if args.config is None:
         return
     with open(args.config) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError(f"--config {args.config}: expected a JSON object")
-    known = vars(args)
+    types = _option_types(parser, args.command)
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if dest not in known or dest in ("command", "config"):
+        if dest not in types or dest in ("help", "config"):
             raise ValueError(f"--config {args.config}: unknown option {key!r}")
-        setattr(args, dest, value)
+        convert = types[dest]
+        # bool is an int to Python but not a value any option takes
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"{dest}: expected a {convert.__name__}, got {value!r}")
+        try:
+            setattr(args, dest, convert(str(value)))
+        except ValueError as exc:
+            raise ValueError(f"{dest}: {exc}") from exc
 
 
 def _ident_experiment(args):
+    snapshot_every = args.snapshot_every
+    if snapshot_every is None:
+        snapshot_every = min(SNAPSHOT_EVERY, args.signal_len)
+    elif snapshot_every > args.signal_len:
+        raise ValueError(
+            f"snapshot_every ({snapshot_every}) must not exceed signal_len "
+            f"({args.signal_len}), or run 0 gets no diagnostics"
+        )
     scenario = IdentScenario(
         n_taps=args.taps,
         n_nonzero=args.nonzero,
@@ -117,7 +145,7 @@ def _ident_experiment(args):
         algorithms=algorithms,
         n_runs=args.runs,
         base_seed=args.seed,
-        snapshot_every=args.snapshot_every,
+        snapshot_every=snapshot_every,
         output_dir=args.out,
     )
 
@@ -145,20 +173,21 @@ def _spectrum_experiment(args):
         algorithms=algorithms,
         n_runs=args.runs,
         base_seed=args.seed,
-        snapshot_every=args.snapshot_every,
+        snapshot_every=SNAPSHOT_EVERY if args.snapshot_every is None else args.snapshot_every,
         output_dir=args.out,
         passes=args.passes,
     )
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         if args.command == "ident":
             cfg = _ident_experiment(args)
             curves = run_ident_experiment(cfg, max_workers=args.workers)
-            diagnostics = ident_diagnostics(cfg)
+            diagnostics = {label: curve.diagnostics for label, curve in curves.items()}
             paths = emit_outputs(curves, cfg.output_dir, experiment=cfg, diagnostics=diagnostics)
             for label, curve in curves.items():
                 print(f"{label}: final ESR {curve.esr_db[-1]:.2f} dB over {curve.n_runs} runs")

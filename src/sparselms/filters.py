@@ -4,10 +4,14 @@ Seven variants share the signature ``*_step(state, x, y, cfg) ->
 (new_state, record)``: plain LMS, the zero-attracting pair (uniform and
 reweighted), a selective zero-attractor that spares the current top-``s``
 support, and three hard-threshold variants (immediate, warm-started and
-relaxed).  States are treated as immutable; each step returns a fresh
-estimate, so independent filters can run on concurrent workers.
+relaxed).  All seven are one update, a gradient step followed by an
+optional attractor and an optional projection; :func:`step_rows` applies
+the same update to many runs stacked as a (runs, taps) array.  States are
+treated as immutable; each step returns a fresh estimate, so independent
+filters can run on concurrent workers.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +30,7 @@ __all__ = [
     "sza_lms_step",
     "hard_lms_step",
     "step",
+    "step_rows",
     "run_stream",
 ]
 
@@ -90,12 +95,12 @@ class FilterConfig:
         self.algorithm = Algorithm(self.algorithm)
         if self.n_taps < 1:
             raise ValueError(f"n_taps must be positive, got {self.n_taps}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.rho < 0:
-            raise ValueError(f"rho must be non-negative, got {self.rho}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"rho must be non-negative and finite, got {self.rho}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
         if self.sparsity is not None and not 1 <= self.sparsity < self.n_taps:
@@ -144,82 +149,85 @@ def _checked_error(state, x, y, cfg):
     return x, float(y) - float(np.dot(state.estimate, x))
 
 
-def lms_step(state, x, y, cfg):
-    """Plain stochastic-gradient update ``w + mu * e * x``."""
-    x, err = _checked_error(state, x, y, cfg)
-    new = state.estimate + cfg.mu * (err * x)
-    return FilterState(new, state.iteration + 1), StepRecord(err)
+def _attractor(w, cfg):
+    """Zero-attractor ``a(w)`` of the configured variant, or None.
 
-
-def za_lms_step(state, x, y, cfg):
-    """LMS update followed by a uniform sign shrink of strength rho."""
-    x, err = _checked_error(state, x, y, cfg)
-    new = state.estimate + cfg.mu * (err * x) - cfg.rho * np.sign(state.estimate)
-    return FilterState(new, state.iteration + 1), StepRecord(err)
-
-
-def rza_lms_step(state, x, y, cfg):
-    """LMS update with the shrink reweighted by 1/(1 + epsilon*|w|).
-
-    Large coefficients are penalized less, small ones by nearly the full
-    rho, so established taps keep most of their value.
+    Uniform sign (ZA), sign reweighted by ``1/(1 + epsilon*|w|)`` so
+    established taps keep most of their value (RZA), or the sign pattern
+    outside the top-``s`` support of the estimate *before* the gradient
+    step (SZA).  ``w`` is one estimate or a (runs, taps) array of them.
     """
-    x, err = _checked_error(state, x, y, cfg)
-    w = state.estimate
-    attractor = np.sign(w) / (1.0 + cfg.epsilon * np.abs(w))
-    new = w + cfg.mu * (err * x) - cfg.rho * attractor
-    return FilterState(new, state.iteration + 1), StepRecord(err)
+    if cfg.algorithm is Algorithm.ZA_LMS:
+        return np.sign(w)
+    if cfg.algorithm is Algorithm.RZA_LMS:
+        return np.sign(w) / (1.0 + cfg.epsilon * np.abs(w))
+    if cfg.algorithm is Algorithm.SZA_LMS:
+        return penalty_mask(w, cfg.sparsity)
+    return None
 
 
-def sza_lms_step(state, x, y, cfg):
-    """LMS update that shrinks only outside the current top-s support.
+def _keep_count(cfg, iteration):
+    """Entries the hard threshold keeps after update ``iteration``, or None.
 
-    The penalty pattern is computed on the estimate *before* the gradient
-    step, so the set of spared coefficients depends on w(n), not on the
-    intermediate update.
+    The immediate variant thresholds to ``sparsity`` from the first
+    update, the warm-started one skips the first ``warmup_steps`` updates
+    and the relaxed one keeps ``relaxed_sparsity`` entries.
     """
-    x, err = _checked_error(state, x, y, cfg)
-    w = state.estimate
-    u = w + cfg.mu * (err * x)
-    new = u - cfg.rho * penalty_mask(w, cfg.sparsity)
-    return FilterState(new, state.iteration + 1), StepRecord(err)
-
-
-def hard_lms_step(state, x, y, cfg):
-    """LMS update followed by a hard threshold.
-
-    Covers three variants: the immediate one thresholds to ``sparsity``
-    from the first update, the warm-started one skips thresholding for
-    the first ``warmup_steps`` updates, and the relaxed one thresholds to
-    ``relaxed_sparsity`` instead.
-    """
-    x, err = _checked_error(state, x, y, cfg)
-    u = state.estimate + cfg.mu * (err * x)
+    if cfg.algorithm is Algorithm.HARD_LMS:
+        return cfg.sparsity
+    if cfg.algorithm is Algorithm.HARD_INIT_LMS:
+        return cfg.sparsity if iteration >= cfg.warmup_steps else None
     if cfg.algorithm is Algorithm.HARD_REL_LMS:
-        keep = cfg.relaxed_sparsity
-    else:
-        keep = cfg.sparsity
-    if cfg.algorithm is Algorithm.HARD_INIT_LMS and state.iteration < cfg.warmup_steps:
-        new = u
-    else:
-        new = hard_threshold(u, keep)
-    return FilterState(new, state.iteration + 1), StepRecord(err)
+        return cfg.relaxed_sparsity
+    return None
 
 
-_STEP_FNS = {
-    Algorithm.LMS: lms_step,
-    Algorithm.ZA_LMS: za_lms_step,
-    Algorithm.RZA_LMS: rza_lms_step,
-    Algorithm.SZA_LMS: sza_lms_step,
-    Algorithm.HARD_LMS: hard_lms_step,
-    Algorithm.HARD_INIT_LMS: hard_lms_step,
-    Algorithm.HARD_REL_LMS: hard_lms_step,
-}
+def _update(w, err, x, cfg, iteration):
+    """``P(w + mu*err*x - rho*a(w))``, row by row for a (runs, taps) ``w``.
+
+    Evaluated as ``(w + (mu * (err * x))) - (rho * a)``; the in-place
+    forms below round exactly like that expression and allocate less.
+    """
+    new = err * x
+    new *= cfg.mu
+    new += w
+    attractor = _attractor(w, cfg)
+    if attractor is not None:
+        new -= cfg.rho * attractor
+    keep = _keep_count(cfg, iteration)
+    if keep is not None:
+        new = hard_threshold(new, keep)
+    return new
 
 
 def step(state, x, y, cfg):
-    """Apply one update of the algorithm selected by ``cfg``."""
-    return _STEP_FNS[cfg.algorithm](state, x, y, cfg)
+    """Apply one update of the algorithm selected by ``cfg``.
+
+    Every variant is ``w <- P(w + mu*e*x - rho*a(w))`` with the a-priori
+    error ``e = y - w.x``: plain LMS has no attractor ``a`` and identity
+    ``P``, the zero-attracting variants add ``a`` and the hard-threshold
+    variants make ``P`` a hard threshold.
+    """
+    x, err = _checked_error(state, x, y, cfg)
+    new = _update(state.estimate, err, x, cfg, state.iteration)
+    return FilterState(new, state.iteration + 1), StepRecord(err)
+
+
+# One update serves every variant; ``cfg.algorithm`` selects the terms.
+lms_step = za_lms_step = rza_lms_step = sza_lms_step = hard_lms_step = step
+
+
+def step_rows(estimates, inputs, outputs, cfg, iteration):
+    """Apply update ``iteration`` of ``cfg`` to many runs at once.
+
+    Row ``r`` of the (runs, taps) ``estimates`` is updated with row ``r``
+    of ``inputs`` and ``outputs[r]`` by the same arithmetic as
+    :func:`step`, except that the a-priori errors come from one row-wise
+    product, whose rounding can differ from ``np.dot`` in the last bit.
+    Returns the new (runs, taps) estimates.
+    """
+    err = outputs - np.einsum("ij,ij->i", estimates, inputs)
+    return _update(estimates, err[:, None], inputs, cfg, iteration)
 
 
 def run_stream(cfg, stream, snapshot_every=None):
@@ -241,11 +249,10 @@ def run_stream(cfg, stream, snapshot_every=None):
     """
     if snapshot_every is not None and snapshot_every < 1:
         raise ValueError(f"snapshot_every must be a positive integer, got {snapshot_every}")
-    step_fn = _STEP_FNS[cfg.algorithm]
     state = FilterState.initial(cfg.n_taps)
     records = []
     for x, y in stream:
-        state, rec = step_fn(state, x, y, cfg)
+        state, rec = step(state, x, y, cfg)
         if snapshot_every is not None and state.iteration % snapshot_every == 0:
             # estimates are never mutated in place, safe to share
             rec.estimate_snapshot = state.estimate

@@ -3,12 +3,14 @@
 Runs the two benchmark experiments (sparse identification and
 undersampled spectrum estimation) over seeded Monte Carlo repetitions and
 writes deterministic CSV/JSON artifacts.  Per-run seeds are always
-``base_seed + run_index``, runs may execute on parallel workers, and
-aggregation happens in run-index order, so outputs are byte-identical
-for any worker count.
+``base_seed + run_index``.  Identification runs are stepped together in
+blocks of consecutive run indices, blocks and spectrum runs may execute
+on parallel workers, and aggregation happens in run-index order, so
+outputs are byte-identical for any worker count and block size.
 """
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .complex_lms import run_complex_stream, step_size_from_stream
-from .filters import Algorithm, run_stream
+from .filters import Algorithm, step_rows
 from .recovery import theorem1_condition, theorem2_condition
 from .signals import (
     IdentScenario,
@@ -45,6 +47,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _HARD_FAMILY = {Algorithm.HARD_LMS, Algorithm.HARD_INIT_LMS, Algorithm.HARD_REL_LMS}
+
+# Most identification runs stepped together as one (runs, taps) array.
+# Larger blocks spread the per-step interpreter cost over more runs, until
+# the arrays outgrow the CPU caches: at 256 taps the time per run was
+# lowest for blocks of 48-64 runs.  A block holds ~0.15 MB per run.
+BLOCK_RUNS = 48
 
 
 @dataclass
@@ -79,11 +87,16 @@ class ExperimentConfig:
 
 @dataclass
 class LearningCurve:
-    """Per-iteration ESR of one algorithm, averaged over runs."""
+    """Per-iteration ESR of one algorithm, averaged over runs.
+
+    ``diagnostics`` holds run 0's support-recovery records (see
+    :func:`diagnose_run`) at the experiment's snapshot cadence.
+    """
 
     label: str
     esr_linear: np.ndarray
     n_runs: int
+    diagnostics: list | None = None
 
     @property
     def esr_db(self):
@@ -110,29 +123,86 @@ class SpectrumReport:
     true_bin_means: dict
 
 
-def _esr_trajectory(records, truth):
-    snaps = np.stack([r.estimate_snapshot for r in records])
-    denom = float(np.sum(np.abs(truth) ** 2))
-    diff = snaps - truth
-    return np.sum(np.abs(diff) ** 2, axis=1) / denom
+def _ident_inputs(scenario, seeds):
+    """Inputs (runs, L+N-1), outputs (L, runs) and true taps (runs, N).
+
+    The tap-delay window of step ``n`` is ``[u(n), ..., u(n-N+1)]``.
+    Storing each run's zero-padded ``u`` reversed makes the windows of all
+    runs at step ``n`` the (runs, taps) slice ``[:, L-1-n : L-1-n+N]``,
+    so the (L, N) window matrix of a stream is never kept.
+    """
+    inputs, outputs, truths = [], [], []
+    for seed in seeds:
+        stream = gen_ident_stream(replace(scenario, seed=seed))
+        # column 0 of the window matrix is u itself
+        padded = np.concatenate([np.zeros(scenario.n_taps - 1), stream.inputs[:, 0]])
+        inputs.append(padded[::-1])
+        outputs.append(stream.outputs)
+        truths.append(stream.truth)
+        del stream  # at most one (L, N) window matrix is alive at a time
+    return np.array(inputs), np.array(outputs).T.copy(), np.array(truths)
 
 
-def _ident_single_run(run_index, scenario, algorithms, base_seed):
-    sc = replace(scenario, seed=base_seed + run_index)
-    stream = gen_ident_stream(sc)
-    out = {}
+def _ident_block(runs, scenario, algorithms, base_seed, snapshot_every):
+    """Step the runs ``range(*runs)`` of every algorithm together.
+
+    Returns ``(esr, diagnostics)``: ``esr`` maps each label to the
+    (runs, iterations) ESR of every run in the block, written as the
+    filters step instead of from stored estimates.  When the block starts
+    at run 0, run 0's estimate is kept every ``snapshot_every`` updates
+    and diagnosed as soon as its algorithm finishes; ``diagnostics`` then
+    maps each label to those records, and is None otherwise.  Raises
+    ValueError when a filter's ESR turns non-finite.
+    """
+    start, stop = runs
+    inputs, outputs, truths = _ident_inputs(
+        scenario, range(base_seed + start, base_seed + stop)
+    )
+    n_steps, n_taps = outputs.shape[0], scenario.n_taps
+    denom = np.sum(np.abs(truths) ** 2, axis=1)
+    esr_rows = {}
+    diagnostics = {} if start == 0 else None
     for cfg in algorithms:
-        records = run_stream(cfg, stream, snapshot_every=1)
-        out[cfg.label] = _esr_trajectory(records, stream.truth)
-    return out
+        w = np.zeros((stop - start, n_taps))
+        diff = np.empty_like(w)
+        esr_t = np.empty((n_steps, stop - start))
+        snapshots = []
+        # divergence is reported below, from the ESR, instead of as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n_steps):
+                lead = n_steps - 1 - n
+                w = step_rows(w, inputs[:, lead : lead + n_taps], outputs[n], cfg, n)
+                np.subtract(w, truths, out=diff)
+                esr_t[n] = np.einsum("ij,ij->i", diff, diff)
+                if diagnostics is not None and (n + 1) % snapshot_every == 0:
+                    snapshots.append((n + 1, w[0].copy()))
+        esr = esr_t.T / denom[:, None]
+        bad = ~np.isfinite(esr)
+        if bad.any():
+            row = int(np.flatnonzero(bad.any(axis=1))[0])
+            raise ValueError(
+                f"algorithms[{cfg.label}]: run {start + row} diverged, its ESR is "
+                f"non-finite from iteration {int(np.argmax(bad[row])) + 1}; reduce mu"
+            )
+        esr_rows[cfg.label] = esr
+        if diagnostics is not None:
+            diagnostics[cfg.label] = diagnose_run(
+                truths[0], snapshots, relaxed_sparsity=cfg.relaxed_sparsity
+            )
+    return esr_rows, diagnostics
 
 
-def _map_runs(fn, n_runs, max_workers):
-    indices = range(n_runs)
-    if max_workers <= 1 or n_runs == 1:
-        return [fn(i) for i in indices]
-    with ProcessPoolExecutor(max_workers=min(max_workers, n_runs)) as pool:
-        return list(pool.map(fn, indices))
+def _map(fn, items, max_workers):
+    """``fn`` over ``items`` in order, on up to ``max_workers`` processes.
+
+    Results are yielded in the order of ``items`` whichever worker
+    finishes first.
+    """
+    if max_workers <= 1 or len(items) == 1:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=min(max_workers, len(items))) as pool:
+        yield from pool.map(fn, items)
 
 
 def _check_ident_config(cfg):
@@ -146,28 +216,45 @@ def _check_ident_config(cfg):
             )
 
 
+def _ident_worker(cfg):
+    return partial(
+        _ident_block,
+        scenario=cfg.scenario,
+        algorithms=cfg.algorithms,
+        base_seed=cfg.base_seed,
+        snapshot_every=cfg.snapshot_every,
+    )
+
+
 def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     """Average ESR learning curves over seeded identification runs.
 
     Every algorithm consumes the identical stream within a run; the mean
     is taken over linear ESR values (dB conversion happens at output).
-    Returns a dict mapping algorithm label to LearningCurve.
+    Runs are stepped in blocks of consecutive indices, at most
+    ``BLOCK_RUNS`` long and split evenly over the workers, and the
+    per-run curves are summed in run-index order, so the result does not
+    depend on worker count or block size.  Returns a dict mapping
+    algorithm label to LearningCurve, whose ``diagnostics`` are those of
+    :func:`ident_diagnostics`.  Raises ValueError when a filter diverges.
     """
     _check_ident_config(cfg)
-    worker = partial(
-        _ident_single_run,
-        scenario=cfg.scenario,
-        algorithms=cfg.algorithms,
-        base_seed=cfg.base_seed,
-    )
-    per_run = _map_runs(worker, cfg.n_runs, max_workers)
-    curves = {}
-    for a in cfg.algorithms:
-        total = per_run[0][a.label].copy()
-        for result in per_run[1:]:
-            total += result[a.label]
-        curves[a.label] = LearningCurve(a.label, total / cfg.n_runs, cfg.n_runs)
-    return curves
+    size = min(BLOCK_RUNS, math.ceil(cfg.n_runs / max(1, max_workers)))
+    blocks = [(b, min(b + size, cfg.n_runs)) for b in range(0, cfg.n_runs, size)]
+    totals = {a.label: np.zeros(cfg.scenario.signal_len) for a in cfg.algorithms}
+    diagnostics = None
+    for esr, block_diagnostics in _map(_ident_worker(cfg), blocks, max_workers):
+        if block_diagnostics is not None:
+            diagnostics = block_diagnostics
+        for label, rows in esr.items():
+            for row in rows:
+                totals[label] += row
+    return {
+        a.label: LearningCurve(
+            a.label, totals[a.label] / cfg.n_runs, cfg.n_runs, diagnostics[a.label]
+        )
+        for a in cfg.algorithms
+    }
 
 
 def _spectrum_single_run(run_index, scenario, algorithms, base_seed, passes):
@@ -217,7 +304,7 @@ def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
         base_seed=cfg.base_seed,
         passes=cfg.passes,
     )
-    per_run = _map_runs(worker, cfg.n_runs, max_workers)
+    per_run = list(_map(worker, range(cfg.n_runs), max_workers))
     first = per_run[0]
     labels = [a.label for a in cfg.algorithms]
     report = SpectrumReport(
@@ -280,24 +367,12 @@ def diagnose_run(w_true, snapshots, relaxed_sparsity=None):
 def ident_diagnostics(cfg: ExperimentConfig):
     """Recovery telemetry for run 0 of an identification experiment.
 
-    Re-runs the first seed with snapshots at ``cfg.snapshot_every`` and
-    diagnoses each algorithm's trajectory against the true taps.
+    Steps the first seed alone with snapshots at ``cfg.snapshot_every``
+    and diagnoses each algorithm's trajectory against the true taps; the
+    records equal the ``diagnostics`` of :func:`run_ident_experiment`.
     """
     _check_ident_config(cfg)
-    sc = replace(cfg.scenario, seed=cfg.base_seed)
-    stream = gen_ident_stream(sc)
-    diagnostics = {}
-    for algo in cfg.algorithms:
-        records = run_stream(algo, stream, snapshot_every=cfg.snapshot_every)
-        snaps = [
-            (i + 1, rec.estimate_snapshot)
-            for i, rec in enumerate(records)
-            if rec.estimate_snapshot is not None
-        ]
-        diagnostics[algo.label] = diagnose_run(
-            stream.truth, snaps, relaxed_sparsity=algo.relaxed_sparsity
-        )
-    return diagnostics
+    return _ident_worker(cfg)((0, 1))[1]
 
 
 def _json_safe(obj):

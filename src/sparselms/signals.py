@@ -17,6 +17,7 @@ Conventions used throughout:
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,9 @@ class IdentScenario:
             )
         if self.signal_len < 1:
             raise ValueError(f"signal_len must be >= 1, got {self.signal_len}")
+        # +inf means noiseless; NaN and -inf give no usable noise level
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
 
 
 @dataclass

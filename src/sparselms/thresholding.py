@@ -29,10 +29,11 @@ def hard_threshold(v, s):
     Parameters
     ----------
     v: array_like
-        dense 1-D vector, real or complex
+        dense vector, real or complex; a 2-D array is thresholded row by
+        row, each row exactly as it would be on its own
     s: int
-        number of entries to keep, ``1 <= s <= len(v)``; ``s == len(v)``
-        is accepted and returns a copy of the input
+        number of entries to keep per row, ``1 <= s <= v.shape[-1]``;
+        ``s == v.shape[-1]`` is accepted and returns a copy of the input
 
     Returns
     -------
@@ -40,13 +41,14 @@ def hard_threshold(v, s):
     to zero.
     """
     v = np.asarray(v)
-    n = v.shape[0]
+    n = v.shape[-1]
     if not 1 <= s <= n:
         raise ValueError(f"s must satisfy 1 <= s <= {n}, got {s}")
     if s == n:
         return v.copy()
     mags = np.abs(v)
-    cut = np.partition(mags, n - s)[n - s]
+    # the slice keeps the last axis, so each row's cut broadcasts over its row
+    cut = np.partition(mags, n - s, axis=-1)[..., n - s : n - s + 1]
     out = v.copy()
     out[mags < cut] = 0
     return out
@@ -60,11 +62,12 @@ def penalty_mask(v, s):
     rule of :func:`hard_threshold` carries over, so all tying entries are
     spared the penalty.
 
-    Requires ``1 <= s < len(v)``: keeping nothing would penalize even the
-    largest entry, and keeping everything leaves nothing to penalize.
+    Requires ``1 <= s < v.shape[-1]``: keeping nothing would penalize even the
+    largest entry, and keeping everything leaves nothing to penalize.  A
+    2-D ``v`` gets one mask per row.
     """
     v = np.asarray(v)
-    n = v.shape[0]
+    n = v.shape[-1]
     if not 1 <= s < n:
         raise ValueError(f"s must satisfy 1 <= s < {n}, got {s}")
     kept = hard_threshold(v, s)

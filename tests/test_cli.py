@@ -56,6 +56,40 @@ class TestIdentCommand:
         assert "sparsity" in capsys.readouterr().err
 
 
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys):
+        code = run_cli(["ident", "--mu", "nan", "--runs", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "mu" in capsys.readouterr().err
+
+    def test_diverging_filter_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        code = run_cli(["ident", "--runs", "1", "--mu", "0.5", "--algorithms", "lms",
+                        "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "lms" in err and "diverged" in err and "iteration" in err
+        assert not (out / "curves.csv").exists()
+
+    def test_snapshot_cadence_beyond_signal_rejected(self, tmp_path, capsys):
+        code = run_cli(["ident", "--signal-len", "100", "--snapshot-every", "500",
+                        "--runs", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "snapshot_every" in capsys.readouterr().err
+
+    def test_default_snapshot_cadence_capped_at_signal(self, tmp_path):
+        out = tmp_path / "res"
+        code = run_cli([
+            "ident", "--taps", "8", "--nonzero", "2", "--signal-len", "60",
+            "--sparsity", "2", "--relaxed-sparsity", "4", "--warmup", "20",
+            "--runs", "1", "--algorithms", "lms", "--out", str(out),
+        ])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["experiment"]["snapshot_every"] == 60
+        assert [r["iteration"] for r in summary["diagnostics"]["lms"]] == [60]
+
+
 class TestSpectrumCommand:
     def test_small_run(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -115,6 +149,32 @@ class TestConfigFile:
         code = run_cli(["ident", "--config", str(cfg_file), "--out", str(tmp_path)])
         assert code == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_values_converted_like_flags(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"runs": "2", "mu": "0.05", "signal_len": 40}))
+        out = tmp_path / "res"
+        code = run_cli([
+            "ident", "--taps", "8", "--nonzero", "2", "--sparsity", "2",
+            "--relaxed-sparsity", "4", "--warmup", "20",
+            "--config", str(cfg_file), "--out", str(out),
+        ])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["experiment"]["n_runs"] == 2
+        assert summary["experiment"]["algorithms"][0]["mu"] == 0.05
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [({"runs": "two"}, "runs"), ({"runs": 2.5}, "runs"), ({"runs": True}, "runs"),
+         ({"mu": [0.1]}, "mu"), ({"seed": None}, "seed")],
+    )
+    def test_bad_value_names_field(self, tmp_path, capsys, overrides, field):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(overrides))
+        code = run_cli(["ident", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
 
     def test_malformed_json_fails_cleanly(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

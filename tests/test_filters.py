@@ -5,7 +5,9 @@ from sparselms import (
     Algorithm,
     FilterConfig,
     FilterState,
+    IdentScenario,
     MeasurementStream,
+    gen_ident_stream,
     hard_lms_step,
     hard_threshold,
     lms_step,
@@ -16,6 +18,7 @@ from sparselms import (
     sza_lms_step,
     za_lms_step,
 )
+from sparselms.filters import step_rows
 
 
 def cfg_for(alg, n_taps=4, mu=0.1, **kw):
@@ -51,6 +54,12 @@ class TestConfigValidation:
             (dict(sparsity=4), "sparsity"),
             (dict(sparsity=2, relaxed_sparsity=1), "relaxed_sparsity"),
             (dict(sparsity=2, relaxed_sparsity=4), "relaxed_sparsity"),
+            (dict(mu=np.nan), "mu"),
+            (dict(mu=np.inf), "mu"),
+            (dict(rho=np.nan), "rho"),
+            (dict(rho=np.inf), "rho"),
+            (dict(epsilon=np.nan), "epsilon"),
+            (dict(epsilon=np.inf), "epsilon"),
         ],
     )
     def test_bad_fields_name_the_field(self, kw, field):
@@ -227,6 +236,44 @@ class TestStepDispatch:
                 s2, r2 = fn(s2, x, y, cfg)
                 assert r1.error == r2.error
                 assert np.array_equal(s1.estimate, s2.estimate)
+
+
+class TestStepRows:
+    """The batched update against the scalar stepper it must reproduce."""
+
+    @pytest.mark.parametrize("n_taps", [16, 256])
+    @pytest.mark.parametrize("alg", [a.value for a in Algorithm])
+    def test_rows_track_scalar_steps(self, alg, n_taps):
+        s = max(1, n_taps // 8)
+        cfg = FilterConfig(
+            alg, n_taps=n_taps, mu=0.5 / n_taps, rho=1e-3, sparsity=s,
+            relaxed_sparsity=2 * s, warmup_steps=20,
+        )
+        streams = [
+            gen_ident_stream(IdentScenario(n_taps=n_taps, n_nonzero=s, signal_len=120, seed=k))
+            for k in range(3)
+        ]
+        states = [FilterState.initial(n_taps) for _ in streams]
+        rows = np.zeros((len(streams), n_taps))
+        for n in range(120):
+            x = np.stack([st.inputs[n] for st in streams])
+            y = np.array([st.outputs[n] for st in streams])
+            rows = step_rows(rows, x, y, cfg, n)
+            for r, st in enumerate(streams):
+                states[r], _ = step(states[r], st.inputs[n], st.outputs[n], cfg)
+                # supports (the hard family's whole state) agree exactly,
+                # values to the rounding of the error's inner product
+                assert np.array_equal(support(rows[r]), support(states[r].estimate))
+                assert np.allclose(rows[r], states[r].estimate, rtol=1e-12, atol=1e-14)
+
+    def test_exact_error_gives_identical_bits(self):
+        # integer data make both inner products exact
+        cfg = cfg_for("hard_rel_lms", n_taps=4)
+        w = np.array([[1.0, -2.0, 0.0, 3.0]])
+        x = np.array([[1.0, 2.0, 3.0, 4.0]])
+        rows = step_rows(w, x, np.array([5.0]), cfg, 0)
+        state, _ = step(FilterState(w[0].copy(), 0), x[0], 5.0, cfg)
+        assert np.array_equal(rows[0], state.estimate)
 
 
 class TestRunStream:

@@ -1,21 +1,26 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sparselms import (
+    Algorithm,
     ExperimentConfig,
     FilterConfig,
     IdentScenario,
     SpectrumScenario,
     diagnose_run,
     emit_outputs,
+    gen_ident_stream,
     ident_diagnostics,
     read_curves_csv,
     run_ident_experiment,
     run_spectrum_experiment,
+    run_stream,
 )
-from sparselms.harness import LearningCurve, SpectrumReport
+from sparselms.harness import LearningCurve, SpectrumReport, _ident_block
+from sparselms.signals import esr
 
 
 def small_ident_config(n_runs=3, algorithms=None, **scenario_kw):
@@ -112,6 +117,71 @@ class TestRunIdentExperiment:
             )
             singles.append(run_ident_experiment(one)["lms"].esr_linear)
         assert np.allclose(both, (singles[0] + singles[1]) / 2, rtol=0, atol=1e-15)
+
+
+def all_algorithms(n_taps, s, mu):
+    return [
+        FilterConfig(a.value, n_taps=n_taps, mu=mu, rho=1e-3, sparsity=s,
+                     relaxed_sparsity=2 * s, warmup_steps=30)
+        for a in Algorithm
+    ]
+
+
+class TestBatchedEngine:
+    """The block engine against the scalar stepper and across block shapes."""
+
+    @pytest.mark.parametrize("n_taps,s,mu", [(16, 3, 0.02), (256, 28, 0.005)])
+    def test_esr_rows_match_scalar_runs(self, n_taps, s, mu):
+        scenario = IdentScenario(n_taps=n_taps, n_nonzero=s, signal_len=120)
+        algorithms = all_algorithms(n_taps, s, mu)
+        rows, _ = _ident_block((0, 3), scenario, algorithms, 5, 40)
+        for r in range(3):
+            stream = gen_ident_stream(replace(scenario, seed=5 + r))
+            for cfg in algorithms:
+                records = run_stream(cfg, stream, snapshot_every=1)
+                ref = np.array([esr(stream.truth, rec.estimate_snapshot) for rec in records])
+                assert np.allclose(rows[cfg.label][r], ref, rtol=1e-12, atol=0), cfg.label
+
+    def test_rows_independent_of_block_shape(self):
+        cfg = small_ident_config(n_runs=5, algorithms=all_algorithms(16, 3, 0.02))
+        args = (cfg.scenario, cfg.algorithms, cfg.base_seed, cfg.snapshot_every)
+        whole, diags = _ident_block((0, 5), *args)
+        for blocks in ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [(0, 2), (2, 5)]):
+            parts = [_ident_block(b, *args) for b in blocks]
+            assert parts[0][1] == diags
+            assert all(p[1] is None for p in parts[1:])
+            for label, rows in whole.items():
+                assert np.array_equal(np.vstack([p[0][label] for p in parts]), rows)
+
+    def test_artifacts_identical_for_any_worker_count(self, tmp_path):
+        cfg = small_ident_config(n_runs=5, algorithms=all_algorithms(16, 3, 0.02))
+        cfg.snapshot_every = 50
+        blobs = []
+        for workers in (1, 2, 3):
+            curves = run_ident_experiment(cfg, max_workers=workers)
+            diags = {label: c.diagnostics for label, c in curves.items()}
+            emit_outputs(curves, tmp_path / str(workers), experiment=cfg, diagnostics=diags)
+            blobs.append([(tmp_path / str(workers) / n).read_bytes()
+                          for n in ("curves.csv", "summary.json")])
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_main_pass_diagnostics_equal_standalone(self, workers):
+        cfg = small_ident_config(n_runs=4, algorithms=all_algorithms(16, 3, 0.02))
+        cfg.snapshot_every = 30
+        curves = run_ident_experiment(cfg, max_workers=workers)
+        standalone = ident_diagnostics(cfg)
+        assert {label: c.diagnostics for label, c in curves.items()} == standalone
+        assert [r["iteration"] for r in standalone["hard_lms"]] == [30, 60, 90, 120, 150]
+
+    def test_divergence_names_algorithm_run_and_iteration(self):
+        algorithms = [
+            FilterConfig("lms", n_taps=16, mu=0.02),
+            FilterConfig("za_lms", n_taps=16, mu=2.0, rho=1e-4, label="fast"),
+        ]
+        cfg = small_ident_config(n_runs=2, algorithms=algorithms, signal_len=400)
+        with pytest.raises(ValueError, match=r"fast.*run 0 diverged.*iteration \d+"):
+            run_ident_experiment(cfg)
 
 
 class TestRunSpectrumExperiment:

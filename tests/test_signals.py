@@ -20,6 +20,16 @@ class TestIdentScenario:
         with pytest.raises(ValueError, match="signal_len"):
             IdentScenario(signal_len=0)
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_meaningless_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            IdentScenario(snr_db=snr_db)
+
+    def test_infinite_snr_means_noiseless(self):
+        sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=20, snr_db=np.inf)
+        stream = gen_ident_stream(sc)
+        assert np.array_equal(stream.outputs, stream.inputs @ stream.truth)
+
     def test_defaults_match_benchmark(self):
         sc = IdentScenario()
         assert (sc.n_taps, sc.n_nonzero, sc.signal_len, sc.snr_db) == (256, 28, 2000, 30.0)

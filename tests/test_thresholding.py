@@ -135,3 +135,45 @@ class TestPenaltyMask:
         assert set(np.unique(mask)).issubset({-1.0, 0.0, 1.0})
         outside = np.setdiff1d(support(v), support(hard_threshold(v, s)))
         assert np.array_equal(mask[outside], np.sign(np.asarray(v)[outside]))
+
+
+class TestRowWise:
+    """A 2-D input is thresholded row by row, each row as if alone."""
+
+    @staticmethod
+    def tied_rows():
+        # few distinct magnitudes, so exact ties at the cut are common
+        return hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(2, 12)),
+            elements=st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 0.5]),
+        )
+
+    def test_tie_in_one_row_only(self):
+        v = np.array([[2.0, -2.0, 1.0, 0.0], [3.0, 1.0, 2.0, -4.0]])
+        assert hard_threshold(v, 1).tolist() == [[2.0, -2.0, 0.0, 0.0], [0.0, 0.0, 0.0, -4.0]]
+        assert penalty_mask(v, 1).tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_rows(), st.data())
+    def test_hard_threshold_matches_each_row(self, v, data):
+        s = data.draw(st.integers(1, v.shape[1]))
+        out = hard_threshold(v, s)
+        assert np.array_equal(out, np.stack([hard_threshold(row, s) for row in v]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_rows(), st.data())
+    def test_penalty_mask_matches_each_row(self, v, data):
+        s = data.draw(st.integers(1, v.shape[1] - 1))
+        out = penalty_mask(v, s)
+        assert np.array_equal(out, np.stack([penalty_mask(row, s) for row in v]))
+
+    def test_complex_rows(self):
+        v = np.array([[1j, 1.0, 0.5], [0.1, -2j, 2.0]])
+        assert hard_threshold(v, 1).tolist() == [[1j, 1.0, 0.0], [0.0, -2j, 2.0]]
+
+    def test_bounds_use_row_length(self):
+        with pytest.raises(ValueError):
+            hard_threshold(np.zeros((5, 3)), 4)
+        with pytest.raises(ValueError):
+            penalty_mask(np.zeros((5, 3)), 3)
