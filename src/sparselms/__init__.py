@@ -1,16 +1,12 @@
 """Sparsity-aware LMS adaptive filters and support-recovery tooling."""
 
-from .complex_lms import (
-    complex_hard_lms_step,
-    complex_lms_step,
-    run_complex_stream,
-    step_size_from_stream,
-)
 from .filters import (
     Algorithm,
     FilterConfig,
     FilterState,
     StepRecord,
+    complex_hard_lms_step,
+    complex_lms_step,
     hard_lms_step,
     lms_step,
     run_stream,
@@ -47,6 +43,7 @@ from .signals import (
     gen_ident_stream,
     gen_spectrum_stream,
     save_stream_audit,
+    step_size_from_stream,
 )
 from .thresholding import hard_threshold, penalty_mask, support
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .filters import Algorithm, FilterConfig
+from .filters import ATTRACTING, Algorithm, FilterConfig
 from .harness import (
     ExperimentConfig,
     emit_outputs,
@@ -44,6 +44,12 @@ def build_parser():
     ident.add_argument("--relaxed-sparsity", type=int, default=56, help="relaxed keep-count d")
     ident.add_argument("--warmup", type=int, default=512, help="warm-up updates before thresholding")
     ident.add_argument(
+        "--snapshot-every",
+        type=int,
+        default=None,
+        help=f"diagnostic snapshot cadence (default {SNAPSHOT_EVERY}, at most --signal-len)",
+    )
+    ident.add_argument(
         "--algorithms",
         default=",".join(IDENT_ALGORITHMS),
         help="comma-separated subset of: " + ", ".join(IDENT_ALGORITHMS),
@@ -60,13 +66,6 @@ def build_parser():
     for p in (ident, spectrum):
         p.add_argument("--runs", type=int, default=200 if p is ident else 1, help="Monte Carlo runs")
         p.add_argument("--seed", type=int, default=0, help="base seed; run r uses seed + r")
-        p.add_argument(
-            "--snapshot-every",
-            type=int,
-            default=None,
-            help=f"diagnostic snapshot cadence (default {SNAPSHOT_EVERY}, "
-            "for ident at most --signal-len)",
-        )
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
         p.add_argument("--config", default=None, help="JSON file whose values override the flags")
@@ -127,7 +126,7 @@ def _ident_experiment(args):
             raise ValueError(f"--algorithms: unknown algorithm {name!r}")
         # attach only the parameters each variant actually consumes
         kw = {}
-        if name in ("za_lms", "rza_lms", "sza_lms"):
+        if Algorithm(name) in ATTRACTING:
             kw["rho"] = args.rho
         if name == "rza_lms":
             kw["epsilon"] = args.epsilon
@@ -146,7 +145,6 @@ def _ident_experiment(args):
         n_runs=args.runs,
         base_seed=args.seed,
         snapshot_every=snapshot_every,
-        output_dir=args.out,
     )
 
 
@@ -173,8 +171,6 @@ def _spectrum_experiment(args):
         algorithms=algorithms,
         n_runs=args.runs,
         base_seed=args.seed,
-        snapshot_every=SNAPSHOT_EVERY if args.snapshot_every is None else args.snapshot_every,
-        output_dir=args.out,
         passes=args.passes,
     )
 
@@ -188,13 +184,13 @@ def main(argv=None):
             cfg = _ident_experiment(args)
             curves = run_ident_experiment(cfg, max_workers=args.workers)
             diagnostics = {label: curve.diagnostics for label, curve in curves.items()}
-            paths = emit_outputs(curves, cfg.output_dir, experiment=cfg, diagnostics=diagnostics)
+            paths = emit_outputs(curves, args.out, experiment=cfg, diagnostics=diagnostics)
             for label, curve in curves.items():
                 print(f"{label}: final ESR {curve.esr_db[-1]:.2f} dB over {curve.n_runs} runs")
         else:
             cfg = _spectrum_experiment(args)
             report = run_spectrum_experiment(cfg, max_workers=args.workers)
-            paths = emit_outputs(report, cfg.output_dir, experiment=cfg)
+            paths = emit_outputs(report, args.out, experiment=cfg)
             for label, rate in report.hit_rates.items():
                 print(f"{label}: mean support hit rate {rate:.3f} over {report.n_runs} runs")
         for path in paths:

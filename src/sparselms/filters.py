@@ -1,4 +1,4 @@
-"""Real-valued LMS family with a uniform step interface.
+"""LMS family with a uniform step interface, for real and complex data.
 
 Seven variants share the signature ``*_step(state, x, y, cfg) ->
 (new_state, record)``: plain LMS, the zero-attracting pair (uniform and
@@ -9,6 +9,11 @@ optional attractor and an optional projection; :func:`step_rows` applies
 the same update to many runs stacked as a (runs, taps) array.  States are
 treated as immutable; each step returns a fresh estimate, so independent
 filters can run on concurrent workers.
+
+The inner product is ``w^H x`` (conjugation on the estimate) and the
+gradient step adds ``mu * conj(e) * x``; for real data both reduce to the
+real LMS rule with the same bits.  :func:`complex_lms_step` and
+:func:`complex_hard_lms_step` are the same update on a bare estimate.
 """
 
 import math
@@ -17,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 
+from .signals import check_counts
 from .thresholding import hard_threshold, penalty_mask
 
 __all__ = [
@@ -29,6 +35,8 @@ __all__ = [
     "rza_lms_step",
     "sza_lms_step",
     "hard_lms_step",
+    "complex_lms_step",
+    "complex_hard_lms_step",
     "step",
     "step_rows",
     "run_stream",
@@ -76,7 +84,8 @@ class FilterConfig:
         relaxed keep-count d for the relaxed hard-threshold variant,
         ``sparsity <= d < n_taps``
     warmup_steps: int
-        updates to run without thresholding (warm-started variant only)
+        updates to run before the hard threshold of any hard-threshold
+        variant is applied; the other variants ignore it
     label: str
         name used in experiment outputs; defaults to the algorithm name
     """
@@ -93,6 +102,9 @@ class FilterConfig:
 
     def __post_init__(self):
         self.algorithm = Algorithm(self.algorithm)
+        check_counts(
+            self, "n_taps", "warmup_steps", optional=("sparsity", "relaxed_sparsity")
+        )
         if self.n_taps < 1:
             raise ValueError(f"n_taps must be positive, got {self.n_taps}")
         if not (math.isfinite(self.mu) and self.mu > 0):
@@ -138,15 +150,37 @@ class FilterState:
 class StepRecord:
     """A-priori error of one update, optionally with the new estimate."""
 
-    error: float
+    error: float | complex
     estimate_snapshot: np.ndarray | None = None
 
 
-def _checked_error(state, x, y, cfg):
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != cfg.n_taps:
-        raise ValueError(f"input length {x.shape[0]} does not match n_taps {cfg.n_taps}")
-    return x, float(y) - float(np.dot(state.estimate, x))
+def _checked_error(w, x, y):
+    """``(x, e)`` with the a-priori error ``e = y - w^H x`` as a Python number.
+
+    Converting costs ~0.2 us, against ~0.6 us for ``.item()`` and ~1 us
+    for the ``conjugate`` of a NumPy scalar that the update would call
+    instead.
+    """
+    x = np.asarray(x)
+    if x.shape[0] != w.shape[0]:
+        raise ValueError(f"input length {x.shape[0]} does not match n_taps {w.shape[0]}")
+    err = y - np.vdot(w, x)
+    return x, complex(err) if isinstance(err, (complex, np.complexfloating)) else float(err)
+
+
+# Variants with a zero attractor.  Their sign terms are defined for real
+# estimates only: NumPy 2.0 changed what np.sign returns for complex input.
+ATTRACTING = frozenset({Algorithm.ZA_LMS, Algorithm.RZA_LMS, Algorithm.SZA_LMS})
+
+# The field holding each hard-threshold variant's keep-count.  The per-step
+# dispatch looks variants up in these tables instead of comparing with
+# ``Algorithm.X``: on Python 3.11 each Enum member read costs ~0.18 us,
+# a few percent of a plain LMS update on 1000 taps.
+_KEEP_FIELD = {
+    Algorithm.HARD_LMS: "sparsity",
+    Algorithm.HARD_INIT_LMS: "sparsity",
+    Algorithm.HARD_REL_LMS: "relaxed_sparsity",
+}
 
 
 def _attractor(w, cfg):
@@ -157,64 +191,78 @@ def _attractor(w, cfg):
     outside the top-``s`` support of the estimate *before* the gradient
     step (SZA).  ``w`` is one estimate or a (runs, taps) array of them.
     """
+    if cfg.algorithm not in ATTRACTING:
+        return None
     if cfg.algorithm is Algorithm.ZA_LMS:
         return np.sign(w)
     if cfg.algorithm is Algorithm.RZA_LMS:
         return np.sign(w) / (1.0 + cfg.epsilon * np.abs(w))
-    if cfg.algorithm is Algorithm.SZA_LMS:
-        return penalty_mask(w, cfg.sparsity)
-    return None
+    return penalty_mask(w, cfg.sparsity)
 
 
 def _keep_count(cfg, iteration):
     """Entries the hard threshold keeps after update ``iteration``, or None.
 
-    The immediate variant thresholds to ``sparsity`` from the first
-    update, the warm-started one skips the first ``warmup_steps`` updates
-    and the relaxed one keeps ``relaxed_sparsity`` entries.
+    Every hard-threshold variant skips the first ``warmup_steps`` updates;
+    the relaxed one then keeps ``relaxed_sparsity`` entries, the others
+    ``sparsity``.
     """
-    if cfg.algorithm is Algorithm.HARD_LMS:
-        return cfg.sparsity
-    if cfg.algorithm is Algorithm.HARD_INIT_LMS:
-        return cfg.sparsity if iteration >= cfg.warmup_steps else None
-    if cfg.algorithm is Algorithm.HARD_REL_LMS:
-        return cfg.relaxed_sparsity
-    return None
+    field = _KEEP_FIELD.get(cfg.algorithm)
+    if field is None or iteration < cfg.warmup_steps:
+        return None
+    return getattr(cfg, field)
 
 
-def _update(w, err, x, cfg, iteration):
-    """``P(w + mu*err*x - rho*a(w))``, row by row for a (runs, taps) ``w``.
+def _update(w, err, x, mu, keep=None, rho=0.0, attractor=None):
+    """``H_keep(w + mu*conj(err)*x - rho*attractor)``, row by row for a (runs, taps) ``w``.
 
-    Evaluated as ``(w + (mu * (err * x))) - (rho * a)``; the in-place
-    forms below round exactly like that expression and allocate less.
+    ``keep`` None skips the threshold.  Evaluated as ``(w + (mu *
+    (conj(err) * x))) - (rho * attractor)``; the in-place forms below
+    round exactly like that expression and allocate less.  ``err`` is a
+    Python number or an array, whose ``conjugate`` returns a real operand
+    itself.
     """
-    new = err * x
-    new *= cfg.mu
+    new = err.conjugate() * x
+    new *= mu
     new += w
-    attractor = _attractor(w, cfg)
     if attractor is not None:
-        new -= cfg.rho * attractor
-    keep = _keep_count(cfg, iteration)
+        new -= rho * attractor
     if keep is not None:
         new = hard_threshold(new, keep)
     return new
 
 
+def _configured_update(w, err, x, cfg, iteration):
+    return _update(w, err, x, cfg.mu, _keep_count(cfg, iteration), cfg.rho, _attractor(w, cfg))
+
+
 def step(state, x, y, cfg):
     """Apply one update of the algorithm selected by ``cfg``.
 
-    Every variant is ``w <- P(w + mu*e*x - rho*a(w))`` with the a-priori
-    error ``e = y - w.x``: plain LMS has no attractor ``a`` and identity
-    ``P``, the zero-attracting variants add ``a`` and the hard-threshold
-    variants make ``P`` a hard threshold.
+    Every variant is ``w <- P(w + mu*conj(e)*x - rho*a(w))`` with the
+    a-priori error ``e = y - w^H x``: plain LMS has no attractor ``a`` and
+    identity ``P``, the zero-attracting variants add ``a`` and the
+    hard-threshold variants make ``P`` a hard threshold.
     """
-    x, err = _checked_error(state, x, y, cfg)
-    new = _update(state.estimate, err, x, cfg, state.iteration)
+    x, err = _checked_error(state.estimate, x, y)
+    new = _configured_update(state.estimate, err, x, cfg, state.iteration)
     return FilterState(new, state.iteration + 1), StepRecord(err)
 
 
 # One update serves every variant; ``cfg.algorithm`` selects the terms.
 lms_step = za_lms_step = rza_lms_step = sza_lms_step = hard_lms_step = step
+
+
+def complex_lms_step(w, x, y, mu):
+    """One LMS update of the estimate ``w``: ``(new_estimate, y - w^H x)``."""
+    x, err = _checked_error(w, x, y)
+    return _update(w, err, x, mu), err
+
+
+def complex_hard_lms_step(w, x, y, mu, s):
+    """LMS update of ``w`` followed by a magnitude-ranked hard threshold to ``s`` entries."""
+    x, err = _checked_error(w, x, y)
+    return _update(w, err, x, mu, keep=s), err
 
 
 def step_rows(estimates, inputs, outputs, cfg, iteration):
@@ -226,8 +274,8 @@ def step_rows(estimates, inputs, outputs, cfg, iteration):
     product, whose rounding can differ from ``np.dot`` in the last bit.
     Returns the new (runs, taps) estimates.
     """
-    err = outputs - np.einsum("ij,ij->i", estimates, inputs)
-    return _update(estimates, err[:, None], inputs, cfg, iteration)
+    err = outputs - np.einsum("ij,ij->i", estimates.conj(), inputs)
+    return _configured_update(estimates, err[:, None], inputs, cfg, iteration)
 
 
 def run_stream(cfg, stream, snapshot_every=None):
@@ -236,8 +284,9 @@ def run_stream(cfg, stream, snapshot_every=None):
     Parameters
     ----------
     cfg: FilterConfig
-    stream: iterable of (x, y) pairs
-        every x must have length ``cfg.n_taps``
+    stream: MeasurementStream
+        every input row must have length ``cfg.n_taps``; the estimate
+        starts as zeros of the stream's dtype, complex for complex data
     snapshot_every: int, optional
         store the post-update estimate in every record whose iteration is
         a multiple of this cadence; None disables snapshots
@@ -249,7 +298,7 @@ def run_stream(cfg, stream, snapshot_every=None):
     """
     if snapshot_every is not None and snapshot_every < 1:
         raise ValueError(f"snapshot_every must be a positive integer, got {snapshot_every}")
-    state = FilterState.initial(cfg.n_taps)
+    state = FilterState.initial(cfg.n_taps, np.result_type(stream.inputs, stream.outputs))
     records = []
     for x, y in stream:
         state, rec = step(state, x, y, cfg)

@@ -18,6 +18,7 @@ Conventions used throughout:
 import csv
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,27 @@ __all__ = [
     "esr",
     "esr_db",
     "save_stream_audit",
+    "step_size_from_stream",
 ]
+
+
+def check_counts(obj, *names, optional=()):
+    """Require each named field of ``obj`` to be an integer.
+
+    Fields listed in ``optional`` may also be None.  NumPy integers are
+    accepted and stored as ``int``; ``bool`` and integral floats such as
+    ``2.0`` are not.  Raises ValueError naming the first field that fails.
+    """
+    for name in (*names, *optional):
+        value = getattr(obj, name)
+        if value is None and name in optional:
+            continue
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            setattr(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -80,6 +101,7 @@ class IdentScenario:
     random_signs: bool = False
 
     def __post_init__(self):
+        check_counts(self, "n_taps", "n_nonzero", "signal_len")
         if not 1 <= self.n_nonzero <= self.n_taps:
             raise ValueError(
                 f"n_nonzero must satisfy 1 <= n_nonzero <= n_taps, got {self.n_nonzero}"
@@ -106,19 +128,15 @@ class SpectrumScenario:
     n_samples: int = 300
     snr_db: float = 20.0
     seed: int = 0
-    n_bins: int | None = None
 
     def __post_init__(self):
+        check_counts(self, "full_len", "n_tones", "n_samples")
         if self.n_samples > self.full_len:
             raise ValueError(
                 f"n_samples ({self.n_samples}) cannot exceed full_len ({self.full_len})"
             )
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.n_bins is None:
-            self.n_bins = self.full_len
-        elif self.n_bins != self.full_len:
-            raise ValueError("n_bins must equal full_len for DFT-bin spectra")
         n_usable = (self.full_len - 1) // 2
         if not 1 <= self.n_tones <= n_usable:
             raise ValueError(
@@ -208,6 +226,23 @@ def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStr
     inputs = np.tile(rows, (passes, 1))
     outputs = np.tile(samples, passes)
     return MeasurementStream(inputs, outputs, truth)
+
+
+def step_size_from_stream(stream, rtol=1e-9):
+    """Step size 1/||x||^2 from the first input row of a stream.
+
+    The squared norm must be constant across the whole stream (relative
+    tolerance ``rtol``); rows of an undersampled DFT matrix satisfy this
+    by construction.
+    """
+    inputs = np.asarray(stream.inputs)
+    norms = np.sum(np.abs(inputs) ** 2, axis=1)
+    first = norms[0]
+    if first <= 0:
+        raise ValueError("first input row has zero norm")
+    if np.max(np.abs(norms - first)) > rtol * first:
+        raise ValueError(f"input row norms vary by more than rtol={rtol}")
+    return 1.0 / float(first)
 
 
 def esr(w_true, w_hat):

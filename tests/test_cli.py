@@ -101,6 +101,29 @@ class TestSpectrumCommand:
         assert (out / "spectrum.csv").exists()
         assert "hit rate" in capsys.readouterr().out
 
+    def test_snapshot_every_is_ident_only(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"snapshot_every": 10}))
+        code = run_cli(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "res")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "unknown option 'snapshot_every'" in err
+        assert not (tmp_path / "res").exists()
+
+    def test_summary_scenario_and_cadence(self, tmp_path):
+        out = tmp_path / "res"
+        code = run_cli([
+            "spectrum", "--full-len", "64", "--tones", "2", "--samples", "24",
+            "--sparsity", "4", "--passes", "2", "--runs", "1", "--out", str(out),
+        ])
+        assert code == 0
+        experiment = json.loads((out / "summary.json").read_text())["experiment"]
+        assert experiment["snapshot_every"] == 250
+        assert sorted(experiment["scenario"]) == [
+            "full_len", "n_samples", "n_tones", "seed", "snr_db",
+        ]
+
     def test_default_parameters_recorded(self, tmp_path):
         out = tmp_path / "res"
         code = run_cli([

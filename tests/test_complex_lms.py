@@ -3,17 +3,34 @@ import pytest
 
 from sparselms import (
     FilterConfig,
+    FilterState,
     MeasurementStream,
     complex_hard_lms_step,
     complex_lms_step,
-    run_complex_stream,
     run_stream,
+    step,
     step_size_from_stream,
 )
 
 
 def make_stream(inputs, outputs):
     return MeasurementStream(np.asarray(inputs), np.asarray(outputs))
+
+
+def final_and_errors(cfg, stream):
+    """Final estimate and a-priori errors of ``run_stream(cfg, stream)``."""
+    records = run_stream(cfg, stream, snapshot_every=max(1, len(stream)))
+    w = records[-1].estimate_snapshot if records else np.zeros(cfg.n_taps, dtype=complex)
+    return w, np.array([r.error for r in records], dtype=complex)
+
+
+def complex_stream(n_taps, length, seed):
+    rng = np.random.default_rng(seed)
+    truth = np.zeros(n_taps, dtype=complex)
+    truth[[0, n_taps // 2]] = [2.0 - 1j, 0.5 + 0.5j]
+    x = rng.standard_normal((length, n_taps)) + 1j * rng.standard_normal((length, n_taps))
+    y = x @ truth.conj() + 0.05 * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    return make_stream(x, y)
 
 
 class TestComplexLmsStep:
@@ -40,6 +57,12 @@ class TestComplexLmsStep:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             complex_lms_step(np.zeros(3, dtype=complex), [1j, 0j], 0j, 0.1)
+
+    def test_single_precision_keeps_imaginary_part(self):
+        w = np.zeros(1, dtype=np.complex64)
+        new, err = complex_lms_step(w, np.array([1j], np.complex64), np.complex64(1j), 1.0)
+        assert err == 1j
+        assert new.tolist() == [1 + 0j]
 
     def test_error_zero_for_exact_model(self):
         rng = np.random.default_rng(0)
@@ -105,8 +128,9 @@ class TestPhaseEquivariance:
         phase = np.exp(1j * 0.83)
         y_rot = np.array([np.vdot(phase * truth, xi) for xi in x])
 
-        w1, e1 = run_complex_stream(make_stream(x, y), mu=0.05, sparsity=2, warmup_steps=20)
-        w2, e2 = run_complex_stream(make_stream(x, y_rot), mu=0.05, sparsity=2, warmup_steps=20)
+        cfg = FilterConfig("hard_lms", n_taps=n, mu=0.05, sparsity=2, warmup_steps=20)
+        w1, e1 = final_and_errors(cfg, make_stream(x, y))
+        w2, e2 = final_and_errors(cfg, make_stream(x, y_rot))
         assert np.allclose(np.abs(e1), np.abs(e2), rtol=1e-10, atol=1e-12)
         assert np.allclose(w2, phase * w1, rtol=1e-9, atol=1e-11)
 
@@ -129,8 +153,13 @@ class TestStepSizeFromStream:
 
 
 class TestRunComplexStream:
+    """Complex streams through :func:`run_stream`."""
+
     def test_empty_stream(self):
-        w, errors = run_complex_stream(make_stream(np.zeros((0, 3), complex), np.zeros(0)), mu=0.1)
+        w, errors = final_and_errors(
+            FilterConfig("lms", n_taps=3, mu=0.1),
+            make_stream(np.zeros((0, 3), complex), np.zeros(0)),
+        )
         assert errors.shape == (0,)
 
     def test_warmup_then_threshold(self):
@@ -139,16 +168,51 @@ class TestRunComplexStream:
         truth = np.zeros(5, dtype=complex)
         truth[2] = 3.0
         y = np.array([np.vdot(truth, xi) for xi in x])
-        w, _ = run_complex_stream(make_stream(x, y), mu=0.05, sparsity=1, warmup_steps=10)
+        cfg = FilterConfig("hard_lms", n_taps=5, mu=0.05, sparsity=1, warmup_steps=10)
+        w, _ = final_and_errors(cfg, make_stream(x, y))
         assert np.count_nonzero(w) == 1
 
     def test_no_sparsity_is_plain_lms(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
         y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        w1, e1 = run_complex_stream(make_stream(x, y), mu=0.1)
+        w1, e1 = final_and_errors(FilterConfig("lms", n_taps=4, mu=0.1), make_stream(x, y))
         w2 = np.zeros(4, dtype=complex)
         for i in range(20):
             w2, _ = complex_lms_step(w2, x[i], y[i], 0.1)
         assert np.array_equal(w1, w2)
         assert len(e1) == 20
+
+
+class TestSharedKernel:
+    """``step`` is the complex update: the bare-estimate steps are its bits."""
+
+    def test_step_matches_complex_lms_step(self):
+        stream = complex_stream(8, 60, seed=6)
+        cfg = FilterConfig("lms", n_taps=8, mu=0.05)
+        state = FilterState.initial(8, complex)
+        w = np.zeros(8, dtype=complex)
+        for x, y in stream:
+            state, rec = step(state, x, y, cfg)
+            w, err = complex_lms_step(w, x, y, 0.05)
+            assert rec.error == err
+            assert np.array_equal(state.estimate, w)
+
+    def test_step_matches_complex_hard_lms_step_after_warmup(self):
+        stream = complex_stream(8, 60, seed=7)
+        cfg = FilterConfig("hard_lms", n_taps=8, mu=0.05, sparsity=2, warmup_steps=15)
+        records = run_stream(cfg, stream, snapshot_every=1)
+        w = np.zeros(8, dtype=complex)
+        for n, ((x, y), rec) in enumerate(zip(stream, records)):
+            if n < 15:
+                w, err = complex_lms_step(w, x, y, 0.05)
+            else:
+                w, err = complex_hard_lms_step(w, x, y, 0.05, 2)
+            assert rec.error == err
+            assert np.array_equal(rec.estimate_snapshot, w)
+        assert np.count_nonzero(w) == 2
+
+    def test_run_stream_starts_from_stream_dtype(self):
+        stream = complex_stream(4, 3, seed=8)
+        records = run_stream(FilterConfig("lms", n_taps=4, mu=0.1), stream, snapshot_every=1)
+        assert all(r.estimate_snapshot.dtype == complex for r in records)

@@ -60,6 +60,13 @@ class TestConfigValidation:
             (dict(rho=np.inf), "rho"),
             (dict(epsilon=np.nan), "epsilon"),
             (dict(epsilon=np.inf), "epsilon"),
+            (dict(n_taps=4.5), "n_taps"),
+            (dict(n_taps=True), "n_taps"),
+            (dict(n_taps=None), "n_taps"),
+            (dict(sparsity=1.5), "sparsity"),
+            (dict(sparsity=2, relaxed_sparsity=3.0), "relaxed_sparsity"),
+            (dict(warmup_steps=2.5), "warmup_steps"),
+            (dict(warmup_steps=False), "warmup_steps"),
         ],
     )
     def test_bad_fields_name_the_field(self, kw, field):
@@ -67,6 +74,15 @@ class TestConfigValidation:
         base.update(kw)
         with pytest.raises(ValueError, match=field):
             FilterConfig("lms", **base)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = FilterConfig(
+            "hard_rel_lms", n_taps=np.int64(8), mu=0.1, sparsity=np.int32(2),
+            relaxed_sparsity=np.uint8(4), warmup_steps=np.int16(3),
+        )
+        counts = (cfg.n_taps, cfg.sparsity, cfg.relaxed_sparsity, cfg.warmup_steps)
+        assert counts == (8, 2, 4, 3)
+        assert all(type(c) is int for c in counts)
 
     def test_sparsity_required_for_threshold_variants(self):
         for alg in ("sza_lms", "hard_lms", "hard_init_lms"):
@@ -199,6 +215,25 @@ class TestHardVariants:
         assert np.count_nonzero(records[2].estimate_snapshot) == 4
         assert np.count_nonzero(records[3].estimate_snapshot) == 1
 
+    @pytest.mark.parametrize("alg", ["hard_lms", "hard_rel_lms"])
+    def test_every_hard_variant_honours_warmup(self, alg):
+        # hard_init_lms is hard_lms with a warm-up; the relaxed one has it too
+        stream = random_stream(6, 80, seed=12)
+        warm = cfg_for("hard_init_lms", n_taps=6, mu=0.05, sparsity=2, warmup_steps=25)
+        variant = cfg_for(
+            alg, n_taps=6, mu=0.05, sparsity=2, relaxed_sparsity=4, warmup_steps=25
+        )
+        lms = run_stream(FilterConfig("lms", n_taps=6, mu=0.05), stream, snapshot_every=1)
+        a = run_stream(warm, stream, snapshot_every=1)
+        b = run_stream(variant, stream, snapshot_every=1)
+        for n, (ra, rb, rl) in enumerate(zip(a, b, lms)):
+            if alg == "hard_lms" or n < 25:
+                assert ra.error == rb.error
+                assert np.array_equal(ra.estimate_snapshot, rb.estimate_snapshot)
+            if n < 25:
+                assert np.array_equal(rb.estimate_snapshot, rl.estimate_snapshot)
+        assert np.count_nonzero(b[-1].estimate_snapshot) == (2 if alg == "hard_lms" else 4)
+
     def test_relaxed_uses_d(self):
         cfg = FilterConfig("hard_rel_lms", n_taps=4, mu=0.1, sparsity=1, relaxed_sparsity=3)
         state, _ = hard_lms_step(FilterState.initial(4), [4.0, 3.0, 2.0, 1.0], 1.0, cfg)
@@ -263,6 +298,28 @@ class TestStepRows:
                 states[r], _ = step(states[r], st.inputs[n], st.outputs[n], cfg)
                 # supports (the hard family's whole state) agree exactly,
                 # values to the rounding of the error's inner product
+                assert np.array_equal(support(rows[r]), support(states[r].estimate))
+                assert np.allclose(rows[r], states[r].estimate, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("alg", ["lms", "hard_lms", "hard_init_lms", "hard_rel_lms"])
+    def test_complex_rows_track_scalar_steps(self, alg):
+        n_taps, s = 32, 3
+        cfg = FilterConfig(
+            alg, n_taps=n_taps, mu=0.5 / n_taps, sparsity=s, relaxed_sparsity=2 * s,
+            warmup_steps=20,
+        )
+        rng = np.random.default_rng(13)
+        truth = np.zeros((3, n_taps), dtype=complex)
+        for row in truth:
+            row[rng.choice(n_taps, s, replace=False)] = rng.standard_normal(s) + 1j
+        x = rng.standard_normal((120, 3, n_taps)) + 1j * rng.standard_normal((120, 3, n_taps))
+        y = np.einsum("rj,nrj->nr", truth.conj(), x) + 0.01 * rng.standard_normal((120, 3))
+        states = [FilterState.initial(n_taps, complex) for _ in range(3)]
+        rows = np.zeros((3, n_taps), dtype=complex)
+        for n in range(120):
+            rows = step_rows(rows, x[n], y[n], cfg, n)
+            for r in range(3):
+                states[r], _ = step(states[r], x[n, r], y[n, r], cfg)
                 assert np.array_equal(support(rows[r]), support(states[r].estimate))
                 assert np.allclose(rows[r], states[r].estimate, rtol=1e-12, atol=1e-14)
 

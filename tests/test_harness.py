@@ -63,6 +63,26 @@ class TestExperimentConfig:
                 ],
             )
 
+    @pytest.mark.parametrize(
+        "kw,field",
+        [
+            (dict(n_runs=2.5), "n_runs"),
+            (dict(n_runs=True), "n_runs"),
+            (dict(snapshot_every=2.5), "snapshot_every"),
+            (dict(passes=1.5), "passes"),
+        ],
+    )
+    def test_non_integer_counts_name_the_field(self, kw, field):
+        sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=10)
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(scenario=sc, algorithms=[], **kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = small_ident_config(n_runs=np.int64(2))
+        cfg = replace(cfg, snapshot_every=np.int32(50), passes=np.int8(3))
+        assert (cfg.n_runs, cfg.snapshot_every, cfg.passes) == (2, 50, 3)
+        assert run_ident_experiment(cfg)["lms"].n_runs == 2
+
     def test_taps_mismatch_names_field(self):
         sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=10)
         cfg = ExperimentConfig(scenario=sc, algorithms=[FilterConfig("lms", n_taps=4, mu=0.1)])
@@ -232,13 +252,14 @@ class TestBenchmarkScenarios:
     def test_complex_lms_sanity_limit(self):
         # noise off, every sample kept, many passes: the retrained
         # estimate converges onto the true spectrum
-        from sparselms import gen_spectrum_stream, run_complex_stream, step_size_from_stream
+        from sparselms import gen_spectrum_stream, step_size_from_stream
         from sparselms.signals import esr
 
         sc = SpectrumScenario(full_len=64, n_tones=3, n_samples=64, snr_db=np.inf, seed=0)
         stream = gen_spectrum_stream(sc, passes=30)
         mu = step_size_from_stream(stream)
-        w, _ = run_complex_stream(stream, mu)
+        cfg = FilterConfig("lms", n_taps=64, mu=mu)
+        w = run_stream(cfg, stream, snapshot_every=len(stream))[-1].estimate_snapshot
         assert esr(stream.truth, w) < 1e-20
 
     def test_warm_started_condition_flips_during_run(self):

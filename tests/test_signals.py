@@ -20,6 +20,24 @@ class TestIdentScenario:
         with pytest.raises(ValueError, match="signal_len"):
             IdentScenario(signal_len=0)
 
+    @pytest.mark.parametrize(
+        "kw,field",
+        [
+            (dict(n_taps=8.5), "n_taps"),
+            (dict(n_nonzero=True), "n_nonzero"),
+            (dict(n_nonzero=2.0), "n_nonzero"),
+            (dict(signal_len=10.5), "signal_len"),
+        ],
+    )
+    def test_non_integer_counts_name_the_field(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            IdentScenario(**kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        sc = IdentScenario(n_taps=np.int64(8), n_nonzero=np.int32(2), signal_len=np.uint16(20))
+        assert (sc.n_taps, sc.n_nonzero, sc.signal_len) == (8, 2, 20)
+        assert gen_ident_stream(sc).inputs.shape == (20, 8)
+
     @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
     def test_meaningless_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db"):
@@ -94,11 +112,19 @@ class TestSpectrumScenario:
             SpectrumScenario(full_len=100, n_samples=101)
         with pytest.raises(ValueError, match="n_tones"):
             SpectrumScenario(full_len=10, n_samples=10, n_tones=5)
-        with pytest.raises(ValueError, match="n_bins"):
-            SpectrumScenario(n_bins=512)
 
-    def test_n_bins_defaults_to_full_len(self):
-        assert SpectrumScenario().n_bins == 1000
+    @pytest.mark.parametrize(
+        "kw,field",
+        [
+            (dict(full_len=100.0), "full_len"),
+            (dict(n_tones=2.5), "n_tones"),
+            (dict(n_samples=True), "n_samples"),
+            (dict(n_samples="300"), "n_samples"),
+        ],
+    )
+    def test_non_integer_counts_name_the_field(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            SpectrumScenario(**kw)
 
 
 class TestGenSpectrumStream:
