@@ -12,7 +12,7 @@ outputs are byte-identical for any worker count and block size.
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -204,14 +204,26 @@ def _map(fn, items, max_workers):
         yield from pool.map(fn, items)
 
 
-def _check_ident_config(cfg):
-    if not isinstance(cfg.scenario, IdentScenario):
-        raise ValueError("scenario: identification experiment requires an IdentScenario")
+def _check_config(cfg, scenario_type):
+    """Reject a config its runner cannot run, before any stream is drawn."""
+    if not isinstance(cfg.scenario, scenario_type):
+        raise ValueError(
+            f"scenario: expected {scenario_type.__name__}, got {type(cfg.scenario).__name__}"
+        )
+    spectrum = scenario_type is SpectrumScenario
+    length = "full_len" if spectrum else "n_taps"
+    n_taps = getattr(cfg.scenario, length)
     for a in cfg.algorithms:
-        if a.n_taps != cfg.scenario.n_taps:
+        if a.n_taps != n_taps:
             raise ValueError(
                 f"algorithms[{a.label}].n_taps ({a.n_taps}) must equal "
-                f"scenario.n_taps ({cfg.scenario.n_taps})"
+                f"scenario.{length} ({n_taps})"
+            )
+        # the sign attractors are defined for real estimates only
+        if spectrum and a.algorithm in ATTRACTING:
+            raise ValueError(
+                f"algorithms[{a.label}]: {a.algorithm.value} has no complex variant; "
+                "spectrum experiments support lms and the hard_lms family"
             )
 
 
@@ -237,7 +249,7 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     algorithm label to LearningCurve, whose ``diagnostics`` are those of
     :func:`ident_diagnostics`.  Raises ValueError when a filter diverges.
     """
-    _check_ident_config(cfg)
+    _check_config(cfg, IdentScenario)
     size = min(BLOCK_RUNS, math.ceil(cfg.n_runs / max(1, max_workers)))
     blocks = [(b, min(b + size, cfg.n_runs)) for b in range(0, cfg.n_runs, size)]
     totals = {a.label: np.zeros(cfg.scenario.signal_len) for a in cfg.algorithms}
@@ -257,48 +269,34 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
 
 
 def _spectrum_single_run(run_index, scenario, algorithms, base_seed, passes):
+    """``(truth, {label: final estimate})``; each filter walks the samples ``passes`` times."""
     sc = replace(scenario, seed=base_seed + run_index)
-    stream = gen_spectrum_stream(sc, passes=passes)
+    stream = gen_spectrum_stream(sc)
     mu = step_size_from_stream(stream)
-    truth = stream.truth
-    true_support = support(truth)
-    s_eval = int(true_support.size)
-    out = {}
+    estimates = {}
     for cfg in algorithms:
         # no thresholding during the first pass over the samples
         cfg = replace(cfg, mu=mu, warmup_steps=sc.n_samples)
-        # only the final estimate is used; run_stream would keep a record
-        # of every update, which cost ~4% of the run
+        # run_stream would keep a record of every update, which cost ~4%
+        # of the run
         state = FilterState.initial(cfg.n_taps, complex)
-        for x, y in stream:
-            state, _ = step(state, x, y, cfg)
-        w = state.estimate
-        top = support(hard_threshold(w, s_eval))
-        hit = float(np.isin(true_support, top).sum()) / s_eval
-        out[cfg.label] = {
-            "magnitudes": np.abs(w),
-            "top_set": top,
-            "hit_rate": hit,
-            "true_bin_mean": float(np.mean(np.abs(w[true_support]))),
-        }
-    return {"algorithms": out, "true_magnitudes": np.abs(truth), "s_eval": s_eval}
+        for _ in range(passes):
+            for x, y in stream:
+                state, _ = step(state, x, y, cfg)
+        estimates[cfg.label] = state.estimate
+    return stream.truth, estimates
 
 
 def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     """Run the undersampled spectrum experiment and build a report.
 
-    The step size is 1/||x||^2, derived from the stream; hard-threshold
-    variants skip thresholding during the first pass.  The zero-attracting
-    variants are rejected: their sign attractors are real-only.
+    The step size is 1/||x||^2 of each run's own input rows; hard-threshold
+    variants skip thresholding during the first pass.  Each filter is
+    scored by where its final estimate puts the top-s bins, s being the
+    true spectrum's support size.  The zero-attracting variants are
+    rejected: their sign attractors are real-only.
     """
-    if not isinstance(cfg.scenario, SpectrumScenario):
-        raise ValueError("scenario: spectrum experiment requires a SpectrumScenario")
-    for a in cfg.algorithms:
-        if a.algorithm in ATTRACTING:
-            raise ValueError(
-                f"algorithms[{a.label}]: {a.algorithm.value} has no complex variant; "
-                "spectrum experiments support lms and the hard_lms family"
-            )
+    _check_config(cfg, SpectrumScenario)
     worker = partial(
         _spectrum_single_run,
         scenario=cfg.scenario,
@@ -306,25 +304,27 @@ def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
         base_seed=cfg.base_seed,
         passes=cfg.passes,
     )
-    per_run = list(_map(worker, range(cfg.n_runs), max_workers))
-    first = per_run[0]
-    labels = [a.label for a in cfg.algorithms]
-    report = SpectrumReport(
-        sparsity=first["s_eval"],
-        n_runs=cfg.n_runs,
-        true_magnitudes=first["true_magnitudes"],
-        estimate_magnitudes={l: first["algorithms"][l]["magnitudes"] for l in labels},
-        top_sets={l: first["algorithms"][l]["top_set"] for l in labels},
-        hit_rates={},
-        per_run_hit_rates={l: [] for l in labels},
-        true_bin_means={l: [] for l in labels},
-    )
-    for result in per_run:
-        for l in labels:
-            report.per_run_hit_rates[l].append(result["algorithms"][l]["hit_rate"])
-            report.true_bin_means[l].append(result["algorithms"][l]["true_bin_mean"])
-    for l in labels:
-        report.hit_rates[l] = float(np.mean(report.per_run_hit_rates[l]))
+    hit_rates = {a.label: [] for a in cfg.algorithms}
+    true_bin_means = {a.label: [] for a in cfg.algorithms}
+    for run, (truth, estimates) in enumerate(_map(worker, range(cfg.n_runs), max_workers)):
+        true_support = support(truth)
+        s = int(true_support.size)
+        top_sets = {l: support(hard_threshold(w, s)) for l, w in estimates.items()}
+        for l, w in estimates.items():
+            hit_rates[l].append(float(np.isin(true_support, top_sets[l]).sum()) / s)
+            true_bin_means[l].append(float(np.mean(np.abs(w[true_support]))))
+        if run == 0:
+            report = SpectrumReport(
+                sparsity=s,
+                n_runs=cfg.n_runs,
+                true_magnitudes=np.abs(truth),
+                estimate_magnitudes={l: np.abs(w) for l, w in estimates.items()},
+                top_sets=top_sets,
+                hit_rates={},
+                per_run_hit_rates=hit_rates,
+                true_bin_means=true_bin_means,
+            )
+    report.hit_rates = {l: float(np.mean(rates)) for l, rates in hit_rates.items()}
     return report
 
 
@@ -373,7 +373,7 @@ def ident_diagnostics(cfg: ExperimentConfig):
     and diagnoses each algorithm's trajectory against the true taps; the
     records equal the ``diagnostics`` of :func:`run_ident_experiment`.
     """
-    _check_ident_config(cfg)
+    _check_config(cfg, IdentScenario)
     return _ident_worker(cfg)((0, 1))[1]
 
 
@@ -402,36 +402,17 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _algorithm_summary(cfg):
-    return {
-        "algorithm": cfg.algorithm.value,
-        "label": cfg.label,
-        "n_taps": cfg.n_taps,
-        "mu": cfg.mu,
-        "rho": cfg.rho,
-        "epsilon": cfg.epsilon,
-        "sparsity": cfg.sparsity,
-        "relaxed_sparsity": cfg.relaxed_sparsity,
-        "warmup_steps": cfg.warmup_steps,
-    }
-
-
-def _experiment_summary(experiment):
-    if experiment is None:
-        return None
-    return {
-        "scenario": vars(experiment.scenario).copy(),
-        "algorithms": [_algorithm_summary(a) for a in experiment.algorithms],
-        "n_runs": experiment.n_runs,
-        "base_seed": experiment.base_seed,
-        "snapshot_every": experiment.snapshot_every,
-        "passes": experiment.passes,
-    }
-
-
 def _write_text(path, text):
     with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _write_csv(path, header, first_index, columns):
+    """Write ``header``, then row i as ``first_index + i`` and entry i of every column."""
+    lines = [",".join(header)]
+    for i, row in enumerate(zip(*columns), first_index):
+        lines.append(",".join([str(i), *map(_fmt, row)]))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
@@ -450,20 +431,16 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "experiment": _experiment_summary(experiment),
+        "experiment": None if experiment is None else asdict(experiment),
         "diagnostics": diagnostics,
     }
     written = []
     try:
         if isinstance(result, SpectrumReport):
-            lines = ["bin,true_mag," + ",".join(result.estimate_magnitudes)]
-            labels = list(result.estimate_magnitudes)
-            for i in range(result.true_magnitudes.shape[0]):
-                cols = [str(i), _fmt(result.true_magnitudes[i])]
-                cols += [_fmt(result.estimate_magnitudes[l][i]) for l in labels]
-                lines.append(",".join(cols))
             path = out / "spectrum.csv"
-            _write_text(path, "\n".join(lines) + "\n")
+            estimates = result.estimate_magnitudes
+            columns = [result.true_magnitudes, *estimates.values()]
+            _write_csv(path, ["bin", "true_mag", *estimates], 0, columns)
             written.append(path)
             summary["kind"] = "spectrum"
             summary["sparsity"] = result.sparsity
@@ -474,16 +451,8 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
             summary["top_sets"] = {l: v.tolist() for l, v in result.top_sets.items()}
         else:
             curves = dict(result)
-            labels = list(curves)
-            lines = ["iteration" + "".join("," + l for l in labels)]
-            if labels:
-                db = {l: curves[l].esr_db for l in labels}
-                n_iter = len(next(iter(curves.values())).esr_linear)
-                for i in range(n_iter):
-                    cols = [str(i + 1)] + [_fmt(db[l][i]) for l in labels]
-                    lines.append(",".join(cols))
             path = out / "curves.csv"
-            _write_text(path, "\n".join(lines) + "\n")
+            _write_csv(path, ["iteration", *curves], 1, [c.esr_db for c in curves.values()])
             written.append(path)
             summary["kind"] = "ident"
             summary["final_esr"] = {

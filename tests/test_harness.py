@@ -13,14 +13,17 @@ from sparselms import (
     diagnose_run,
     emit_outputs,
     gen_ident_stream,
+    gen_spectrum_stream,
     ident_diagnostics,
     read_curves_csv,
     run_ident_experiment,
     run_spectrum_experiment,
     run_stream,
+    step_size_from_stream,
 )
 from sparselms.harness import LearningCurve, SpectrumReport, _ident_block
 from sparselms.signals import esr
+from sparselms.thresholding import hard_threshold, support
 
 
 def small_ident_config(n_runs=3, algorithms=None, **scenario_kw):
@@ -228,6 +231,41 @@ class TestRunSpectrumExperiment:
         with pytest.raises(ValueError, match="za_lms"):
             run_spectrum_experiment(cfg)
 
+    def test_rejects_taps_mismatch_before_running(self):
+        cfg = small_spectrum_config()
+        cfg.algorithms[0] = FilterConfig("lms", n_taps=32, mu=1.0, label="short")
+        with pytest.raises(
+            ValueError, match=r"algorithms\[short\]\.n_taps \(32\) must equal scenario\.full_len \(64\)"
+        ):
+            run_spectrum_experiment(cfg)
+
+    def test_equals_tiled_stream_bit_for_bit(self):
+        # the runner walks one drawn pass `passes` times; the reference
+        # steps run_stream over the stream tiled by the generator
+        sc = SpectrumScenario(full_len=64, n_tones=2, n_samples=24)
+        algorithms = [
+            FilterConfig("lms", n_taps=64, mu=1.0),
+            FilterConfig("hard_lms", n_taps=64, mu=1.0, sparsity=4),
+        ]
+        cfg = ExperimentConfig(scenario=sc, algorithms=algorithms, n_runs=3, passes=3)
+        report = run_spectrum_experiment(cfg)
+        for run in range(3):
+            stream = gen_spectrum_stream(replace(sc, seed=run), passes=3)
+            mu = step_size_from_stream(stream)
+            true_support = support(stream.truth)
+            s = true_support.size
+            for a in algorithms:
+                ref = replace(a, mu=mu, warmup_steps=24)
+                w = run_stream(ref, stream, snapshot_every=len(stream))[-1].estimate_snapshot
+                top = support(hard_threshold(w, s))
+                if run == 0:
+                    assert np.array_equal(report.estimate_magnitudes[a.label], np.abs(w))
+                    assert np.array_equal(report.top_sets[a.label], top)
+                hit = float(np.isin(true_support, top).sum()) / s
+                assert report.per_run_hit_rates[a.label][run] == hit
+                mean = float(np.mean(np.abs(w[true_support])))
+                assert report.true_bin_means[a.label][run] == mean
+
     def test_parallel_matches_serial(self):
         cfg = small_spectrum_config(n_runs=3)
         a = run_spectrum_experiment(cfg, max_workers=1)
@@ -380,6 +418,45 @@ class TestEmitOutputs:
         # the CSV keeps an explicit -inf, which round-trips through float()
         _, _, columns = read_curves_csv(tmp_path / "curves.csv")
         assert np.isneginf(columns["probe"][1])
+
+    def test_summary_experiment_block(self, tmp_path):
+        rel = FilterConfig(
+            "hard_rel_lms", n_taps=16, mu=0.02, rho=1e-4, epsilon=5.0, sparsity=3,
+            relaxed_sparsity=6, warmup_steps=50, label="rel",
+        )
+        cfg = small_ident_config(n_runs=1, algorithms=[rel])
+        cfg.snapshot_every = 50
+        emit_outputs(run_ident_experiment(cfg), tmp_path / "ident", experiment=cfg)
+        summary = json.loads((tmp_path / "ident" / "summary.json").read_text())
+        assert summary["experiment"] == {
+            "scenario": {
+                "n_taps": 16, "n_nonzero": 3, "tap_value": 1.0, "signal_len": 150,
+                "snr_db": 30.0, "seed": 0, "random_signs": False,
+            },
+            "algorithms": [{
+                "algorithm": "hard_rel_lms", "n_taps": 16, "mu": 0.02, "rho": 1e-4,
+                "epsilon": 5.0, "sparsity": 3, "relaxed_sparsity": 6,
+                "warmup_steps": 50, "label": "rel",
+            }],
+            "n_runs": 1, "base_seed": 0, "snapshot_every": 50, "passes": 10,
+        }
+
+        cfg = small_spectrum_config(n_runs=1)
+        cfg.scenario = replace(cfg.scenario, snr_db=np.inf)
+        emit_outputs(run_spectrum_experiment(cfg), tmp_path / "spec", experiment=cfg)
+        summary = json.loads((tmp_path / "spec" / "summary.json").read_text())
+        defaults = dict(n_taps=64, mu=1.0, rho=0.0, epsilon=10.0, relaxed_sparsity=None,
+                        warmup_steps=0)
+        assert summary["experiment"] == {
+            "scenario": {
+                "full_len": 64, "n_tones": 2, "n_samples": 24, "snr_db": None, "seed": 0,
+            },
+            "algorithms": [
+                dict(algorithm="lms", sparsity=None, label="complex_lms", **defaults),
+                dict(algorithm="hard_lms", sparsity=4, label="complex_hard_lms", **defaults),
+            ],
+            "n_runs": 1, "base_seed": 0, "snapshot_every": 250, "passes": 6,
+        }
 
     def test_spectrum_csv(self, tmp_path):
         cfg = small_spectrum_config()
