@@ -4,7 +4,6 @@ from .filters import (
     Algorithm,
     FilterConfig,
     FilterState,
-    StepRecord,
     complex_hard_lms_step,
     complex_lms_step,
     hard_lms_step,

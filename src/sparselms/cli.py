@@ -13,6 +13,7 @@ import sys
 
 from .filters import ATTRACTING, Algorithm, FilterConfig
 from .harness import (
+    SNAPSHOT_EVERY,
     ExperimentConfig,
     emit_outputs,
     run_ident_experiment,
@@ -21,7 +22,6 @@ from .harness import (
 from .signals import IdentScenario, SpectrumScenario
 
 IDENT_ALGORITHMS = [a.value for a in Algorithm]
-SNAPSHOT_EVERY = 250
 
 
 def build_parser():
@@ -103,14 +103,6 @@ def _apply_config_file(args, parser):
 
 
 def _ident_experiment(args):
-    snapshot_every = args.snapshot_every
-    if snapshot_every is None:
-        snapshot_every = min(SNAPSHOT_EVERY, args.signal_len)
-    elif snapshot_every > args.signal_len:
-        raise ValueError(
-            f"snapshot_every ({snapshot_every}) must not exceed signal_len "
-            f"({args.signal_len}), or run 0 gets no diagnostics"
-        )
     scenario = IdentScenario(
         n_taps=args.taps,
         n_nonzero=args.nonzero,
@@ -144,7 +136,7 @@ def _ident_experiment(args):
         algorithms=algorithms,
         n_runs=args.runs,
         base_seed=args.seed,
-        snapshot_every=snapshot_every,
+        snapshot_every=args.snapshot_every,
     )
 
 

@@ -1,7 +1,7 @@
 """LMS family with a uniform step interface, for real and complex data.
 
 Seven variants share the signature ``*_step(state, x, y, cfg) ->
-(new_state, record)``: plain LMS, the zero-attracting pair (uniform and
+(new_state, error)``: plain LMS, the zero-attracting pair (uniform and
 reweighted), a selective zero-attractor that spares the current top-``s``
 support, and three hard-threshold variants (immediate, warm-started and
 relaxed).  All seven are one update, a gradient step followed by an
@@ -29,7 +29,6 @@ __all__ = [
     "Algorithm",
     "FilterConfig",
     "FilterState",
-    "StepRecord",
     "lms_step",
     "za_lms_step",
     "rza_lms_step",
@@ -146,14 +145,6 @@ class FilterState:
         return cls(np.zeros(n_taps, dtype=dtype), 0)
 
 
-@dataclass
-class StepRecord:
-    """A-priori error of one update, optionally with the new estimate."""
-
-    error: float | complex
-    estimate_snapshot: np.ndarray | None = None
-
-
 def _checked_error(w, x, y):
     """``(x, e)`` with the a-priori error ``e = y - w^H x`` as a Python number.
 
@@ -237,7 +228,7 @@ def _configured_update(w, err, x, cfg, iteration):
 
 
 def step(state, x, y, cfg):
-    """Apply one update of the algorithm selected by ``cfg``.
+    """Apply one update of the algorithm selected by ``cfg``: ``(new_state, e)``.
 
     Every variant is ``w <- P(w + mu*conj(e)*x - rho*a(w))`` with the
     a-priori error ``e = y - w^H x``: plain LMS has no attractor ``a`` and
@@ -246,7 +237,7 @@ def step(state, x, y, cfg):
     """
     x, err = _checked_error(state.estimate, x, y)
     new = _configured_update(state.estimate, err, x, cfg, state.iteration)
-    return FilterState(new, state.iteration + 1), StepRecord(err)
+    return FilterState(new, state.iteration + 1), err
 
 
 # One update serves every variant; ``cfg.algorithm`` selects the terms.
@@ -278,32 +269,19 @@ def step_rows(estimates, inputs, outputs, cfg, iteration):
     return _configured_update(estimates, err[:, None], inputs, cfg, iteration)
 
 
-def run_stream(cfg, stream, snapshot_every=None):
+def run_stream(cfg, stream):
     """Run the configured filter over a measurement stream from w(0) = 0.
 
-    Parameters
-    ----------
-    cfg: FilterConfig
-    stream: MeasurementStream
-        every input row must have length ``cfg.n_taps``; the estimate
-        starts as zeros of the stream's dtype, complex for complex data
-    snapshot_every: int, optional
-        store the post-update estimate in every record whose iteration is
-        a multiple of this cadence; None disables snapshots
-
-    Returns
-    -------
-    list of StepRecord, one per stream element.  Errors are recorded for
-    every step regardless of the snapshot cadence.
+    Every input row must have length ``cfg.n_taps``.  Returns
+    ``(estimates, errors)``: the (len(stream), n_taps) estimate after each
+    update and the (len(stream),) a-priori errors, both of the stream's
+    result dtype, complex for complex data and float for integer data.
     """
-    if snapshot_every is not None and snapshot_every < 1:
-        raise ValueError(f"snapshot_every must be a positive integer, got {snapshot_every}")
-    state = FilterState.initial(cfg.n_taps, np.result_type(stream.inputs, stream.outputs))
-    records = []
-    for x, y in stream:
-        state, rec = step(state, x, y, cfg)
-        if snapshot_every is not None and state.iteration % snapshot_every == 0:
-            # estimates are never mutated in place, safe to share
-            rec.estimate_snapshot = state.estimate
-        records.append(rec)
-    return records
+    dtype = np.result_type(stream.inputs, stream.outputs, 0.0)
+    estimates = np.empty((len(stream), cfg.n_taps), dtype)
+    errors = np.empty(len(stream), dtype)
+    state = FilterState.initial(cfg.n_taps, dtype)
+    for n, (x, y) in enumerate(stream):
+        state, errors[n] = step(state, x, y, cfg)
+        estimates[n] = state.estimate
+    return estimates, errors

@@ -11,6 +11,7 @@ outputs are byte-identical for any worker count and block size.
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -53,24 +54,32 @@ SCHEMA_VERSION = 1
 # lowest for blocks of 48-64 runs.  A block holds ~0.15 MB per run.
 BLOCK_RUNS = 48
 
+# Default snapshot cadence, capped at an identification scenario's signal_len.
+SNAPSHOT_EVERY = 250
+
 
 @dataclass
 class ExperimentConfig:
     """A full experiment: scenario, algorithm roster and run bookkeeping.
 
     The scenario's own seed is ignored by the runners; run r uses
-    ``base_seed + r`` instead.  ``passes`` only applies to spectrum
-    scenarios (retraining sweeps over the same samples).
+    ``base_seed + r`` instead.  ``snapshot_every`` defaults to
+    ``SNAPSHOT_EVERY``, or to ``signal_len`` for a shorter identification
+    scenario.  ``passes`` only applies to spectrum scenarios (retraining
+    sweeps over the same samples).
     """
 
     scenario: IdentScenario | SpectrumScenario
     algorithms: list
     n_runs: int = 1
     base_seed: int = 0
-    snapshot_every: int = 250
+    snapshot_every: int | None = None
     passes: int = 10
 
     def __post_init__(self):
+        if self.snapshot_every is None:
+            cap = self.scenario.signal_len if isinstance(self.scenario, IdentScenario) else math.inf
+            self.snapshot_every = min(SNAPSHOT_EVERY, cap)
         check_counts(self, "n_runs", "snapshot_every", "passes")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
@@ -78,6 +87,8 @@ class ExperimentConfig:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
+        if not self.algorithms:
+            raise ValueError("algorithms: at least one algorithm is required")
         labels = [a.label for a in self.algorithms]
         dupes = {l for l in labels if labels.count(l) > 1}
         if dupes:
@@ -142,26 +153,26 @@ def _ident_inputs(scenario, seeds):
     return np.array(inputs), np.array(outputs).T.copy(), np.array(truths)
 
 
-def _ident_block(runs, scenario, algorithms, base_seed, snapshot_every):
-    """Step the runs ``range(*runs)`` of every algorithm together.
+def _ident_block(cfg, runs):
+    """Step the runs ``range(*runs)`` of every algorithm of ``cfg`` together.
 
     Returns ``(esr, diagnostics)``: ``esr`` maps each label to the
     (runs, iterations) ESR of every run in the block, written as the
     filters step instead of from stored estimates.  When the block starts
-    at run 0, run 0's estimate is kept every ``snapshot_every`` updates
+    at run 0, run 0's estimate is kept every ``cfg.snapshot_every`` updates
     and diagnosed as soon as its algorithm finishes; ``diagnostics`` then
     maps each label to those records, and is None otherwise.  Raises
     ValueError when a filter's ESR turns non-finite.
     """
     start, stop = runs
     inputs, outputs, truths = _ident_inputs(
-        scenario, range(base_seed + start, base_seed + stop)
+        cfg.scenario, range(cfg.base_seed + start, cfg.base_seed + stop)
     )
-    n_steps, n_taps = outputs.shape[0], scenario.n_taps
+    n_steps, n_taps = outputs.shape[0], cfg.scenario.n_taps
     denom = np.sum(np.abs(truths) ** 2, axis=1)
     esr_rows = {}
     diagnostics = {} if start == 0 else None
-    for cfg in algorithms:
+    for a in cfg.algorithms:
         w = np.zeros((stop - start, n_taps))
         diff = np.empty_like(w)
         esr_t = np.empty((n_steps, stop - start))
@@ -170,23 +181,23 @@ def _ident_block(runs, scenario, algorithms, base_seed, snapshot_every):
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(n_steps):
                 lead = n_steps - 1 - n
-                w = step_rows(w, inputs[:, lead : lead + n_taps], outputs[n], cfg, n)
+                w = step_rows(w, inputs[:, lead : lead + n_taps], outputs[n], a, n)
                 np.subtract(w, truths, out=diff)
                 esr_t[n] = np.einsum("ij,ij->i", diff, diff)
-                if diagnostics is not None and (n + 1) % snapshot_every == 0:
+                if diagnostics is not None and (n + 1) % cfg.snapshot_every == 0:
                     snapshots.append((n + 1, w[0].copy()))
         esr = esr_t.T / denom[:, None]
         bad = ~np.isfinite(esr)
         if bad.any():
             row = int(np.flatnonzero(bad.any(axis=1))[0])
             raise ValueError(
-                f"algorithms[{cfg.label}]: run {start + row} diverged, its ESR is "
+                f"algorithms[{a.label}]: run {start + row} diverged, its ESR is "
                 f"non-finite from iteration {int(np.argmax(bad[row])) + 1}; reduce mu"
             )
-        esr_rows[cfg.label] = esr
+        esr_rows[a.label] = esr
         if diagnostics is not None:
-            diagnostics[cfg.label] = diagnose_run(
-                truths[0], snapshots, relaxed_sparsity=cfg.relaxed_sparsity
+            diagnostics[a.label] = diagnose_run(
+                truths[0], snapshots, relaxed_sparsity=a.relaxed_sparsity
             )
     return esr_rows, diagnostics
 
@@ -204,7 +215,7 @@ def _map(fn, items, max_workers):
         yield from pool.map(fn, items)
 
 
-def _check_config(cfg, scenario_type):
+def _check_config(cfg, scenario_type, max_workers=1):
     """Reject a config its runner cannot run, before any stream is drawn."""
     if not isinstance(cfg.scenario, scenario_type):
         raise ValueError(
@@ -225,16 +236,15 @@ def _check_config(cfg, scenario_type):
                 f"algorithms[{a.label}]: {a.algorithm.value} has no complex variant; "
                 "spectrum experiments support lms and the hard_lms family"
             )
-
-
-def _ident_worker(cfg):
-    return partial(
-        _ident_block,
-        scenario=cfg.scenario,
-        algorithms=cfg.algorithms,
-        base_seed=cfg.base_seed,
-        snapshot_every=cfg.snapshot_every,
-    )
+    if not spectrum and cfg.snapshot_every > cfg.scenario.signal_len:
+        raise ValueError(
+            f"snapshot_every ({cfg.snapshot_every}) must not exceed signal_len "
+            f"({cfg.scenario.signal_len}), or run 0 gets no diagnostics"
+        )
+    # as in the count fields, bool is rejected and NumPy integers pass
+    workers_ok = isinstance(max_workers, numbers.Integral) and not isinstance(max_workers, bool)
+    if not (workers_ok and max_workers >= 1):
+        raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
 
 
 def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
@@ -249,12 +259,12 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     algorithm label to LearningCurve, whose ``diagnostics`` are those of
     :func:`ident_diagnostics`.  Raises ValueError when a filter diverges.
     """
-    _check_config(cfg, IdentScenario)
-    size = min(BLOCK_RUNS, math.ceil(cfg.n_runs / max(1, max_workers)))
+    _check_config(cfg, IdentScenario, max_workers)
+    size = min(BLOCK_RUNS, math.ceil(cfg.n_runs / max_workers))
     blocks = [(b, min(b + size, cfg.n_runs)) for b in range(0, cfg.n_runs, size)]
     totals = {a.label: np.zeros(cfg.scenario.signal_len) for a in cfg.algorithms}
     diagnostics = None
-    for esr, block_diagnostics in _map(_ident_worker(cfg), blocks, max_workers):
+    for esr, block_diagnostics in _map(partial(_ident_block, cfg), blocks, max_workers):
         if block_diagnostics is not None:
             diagnostics = block_diagnostics
         for label, rows in esr.items():
@@ -268,22 +278,21 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     }
 
 
-def _spectrum_single_run(run_index, scenario, algorithms, base_seed, passes):
-    """``(truth, {label: final estimate})``; each filter walks the samples ``passes`` times."""
-    sc = replace(scenario, seed=base_seed + run_index)
+def _spectrum_single_run(cfg, run_index):
+    """``(truth, {label: final estimate})``; each filter walks the samples ``cfg.passes`` times."""
+    sc = replace(cfg.scenario, seed=cfg.base_seed + run_index)
     stream = gen_spectrum_stream(sc)
     mu = step_size_from_stream(stream)
     estimates = {}
-    for cfg in algorithms:
+    for a in cfg.algorithms:
         # no thresholding during the first pass over the samples
-        cfg = replace(cfg, mu=mu, warmup_steps=sc.n_samples)
-        # run_stream would keep a record of every update, which cost ~4%
-        # of the run
-        state = FilterState.initial(cfg.n_taps, complex)
-        for _ in range(passes):
+        run_cfg = replace(a, mu=mu, warmup_steps=sc.n_samples)
+        # run_stream would keep every estimate; only the last one is scored
+        state = FilterState.initial(run_cfg.n_taps, complex)
+        for _ in range(cfg.passes):
             for x, y in stream:
-                state, _ = step(state, x, y, cfg)
-        estimates[cfg.label] = state.estimate
+                state, _ = step(state, x, y, run_cfg)
+        estimates[a.label] = state.estimate
     return stream.truth, estimates
 
 
@@ -296,14 +305,8 @@ def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     true spectrum's support size.  The zero-attracting variants are
     rejected: their sign attractors are real-only.
     """
-    _check_config(cfg, SpectrumScenario)
-    worker = partial(
-        _spectrum_single_run,
-        scenario=cfg.scenario,
-        algorithms=cfg.algorithms,
-        base_seed=cfg.base_seed,
-        passes=cfg.passes,
-    )
+    _check_config(cfg, SpectrumScenario, max_workers)
+    worker = partial(_spectrum_single_run, cfg)
     hit_rates = {a.label: [] for a in cfg.algorithms}
     true_bin_means = {a.label: [] for a in cfg.algorithms}
     for run, (truth, estimates) in enumerate(_map(worker, range(cfg.n_runs), max_workers)):
@@ -374,7 +377,7 @@ def ident_diagnostics(cfg: ExperimentConfig):
     records equal the ``diagnostics`` of :func:`run_ident_experiment`.
     """
     _check_config(cfg, IdentScenario)
-    return _ident_worker(cfg)((0, 1))[1]
+    return _ident_block(cfg, (0, 1))[1]
 
 
 def _json_safe(obj):

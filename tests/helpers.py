@@ -103,5 +103,5 @@ def replay_sza_run(w_true, mu, rho, cap_x, cap_y):
     s = int(np.count_nonzero(w_true))
     cfg = FilterConfig("sza_lms", n_taps=n, mu=mu, rho=rho, sparsity=s)
     stream = MeasurementStream(np.asarray(cap_x), np.asarray(cap_y), np.asarray(w_true))
-    records = run_stream(cfg, stream, snapshot_every=1)
-    return np.stack([r.estimate_snapshot for r in records])
+    estimates, _ = run_stream(cfg, stream)
+    return estimates

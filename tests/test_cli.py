@@ -90,6 +90,26 @@ class TestIdentCommand:
         assert [r["iteration"] for r in summary["diagnostics"]["lms"]] == [60]
 
 
+class TestRunSettings:
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["ident", "--algorithms", ","], "algorithms"),
+            (["ident", "--algorithms", ""], "algorithms"),
+            (["ident", "--workers", "0"], "workers"),
+            (["ident", "--workers", "-3"], "workers"),
+            (["spectrum", "--workers", "-2"], "workers"),
+        ],
+    )
+    def test_bad_run_setting_names_field(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "res"
+        code = run_cli([*argv, "--runs", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
+
 class TestSpectrumCommand:
     def test_small_run(self, tmp_path, capsys):
         out = tmp_path / "res"

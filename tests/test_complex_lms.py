@@ -19,9 +19,9 @@ def make_stream(inputs, outputs):
 
 def final_and_errors(cfg, stream):
     """Final estimate and a-priori errors of ``run_stream(cfg, stream)``."""
-    records = run_stream(cfg, stream, snapshot_every=max(1, len(stream)))
-    w = records[-1].estimate_snapshot if records else np.zeros(cfg.n_taps, dtype=complex)
-    return w, np.array([r.error for r in records], dtype=complex)
+    estimates, errors = run_stream(cfg, stream)
+    w = estimates[-1] if len(stream) else np.zeros(cfg.n_taps, dtype=complex)
+    return w, np.asarray(errors, dtype=complex)
 
 
 def complex_stream(n_taps, length, seed):
@@ -102,18 +102,14 @@ class TestRealEmbedding:
         x = rng.standard_normal((60, 6))
         y = x @ truth + 0.05 * rng.standard_normal(60)
 
-        real_records = run_stream(
-            FilterConfig("lms", n_taps=6, mu=0.05),
-            make_stream(x, y),
-            snapshot_every=1,
-        )
+        real_w, real_e = run_stream(FilterConfig("lms", n_taps=6, mu=0.05), make_stream(x, y))
         w = np.zeros(6, dtype=complex)
         for i in range(60):
             w, err = complex_lms_step(w, x[i].astype(complex), complex(y[i]), 0.05)
             assert err.imag == 0.0
-            assert np.allclose(err.real, real_records[i].error, rtol=0, atol=1e-14)
+            assert np.allclose(err.real, real_e[i], rtol=0, atol=1e-14)
         assert np.max(np.abs(w.imag)) == 0.0
-        assert np.allclose(w.real, real_records[-1].estimate_snapshot, rtol=0, atol=1e-13)
+        assert np.allclose(w.real, real_w[-1], rtol=0, atol=1e-13)
 
 
 class TestPhaseEquivariance:
@@ -193,26 +189,26 @@ class TestSharedKernel:
         state = FilterState.initial(8, complex)
         w = np.zeros(8, dtype=complex)
         for x, y in stream:
-            state, rec = step(state, x, y, cfg)
+            state, step_err = step(state, x, y, cfg)
             w, err = complex_lms_step(w, x, y, 0.05)
-            assert rec.error == err
+            assert step_err == err
             assert np.array_equal(state.estimate, w)
 
     def test_step_matches_complex_hard_lms_step_after_warmup(self):
         stream = complex_stream(8, 60, seed=7)
         cfg = FilterConfig("hard_lms", n_taps=8, mu=0.05, sparsity=2, warmup_steps=15)
-        records = run_stream(cfg, stream, snapshot_every=1)
+        estimates, errors = run_stream(cfg, stream)
         w = np.zeros(8, dtype=complex)
-        for n, ((x, y), rec) in enumerate(zip(stream, records)):
+        for n, (x, y) in enumerate(stream):
             if n < 15:
                 w, err = complex_lms_step(w, x, y, 0.05)
             else:
                 w, err = complex_hard_lms_step(w, x, y, 0.05, 2)
-            assert rec.error == err
-            assert np.array_equal(rec.estimate_snapshot, w)
+            assert errors[n] == err
+            assert np.array_equal(estimates[n], w)
         assert np.count_nonzero(w) == 2
 
     def test_run_stream_starts_from_stream_dtype(self):
         stream = complex_stream(4, 3, seed=8)
-        records = run_stream(FilterConfig("lms", n_taps=4, mu=0.1), stream, snapshot_every=1)
-        assert all(r.estimate_snapshot.dtype == complex for r in records)
+        estimates, errors = run_stream(FilterConfig("lms", n_taps=4, mu=0.1), stream)
+        assert estimates.dtype == errors.dtype == complex

@@ -99,8 +99,8 @@ class TestConfigValidation:
 class TestLmsStep:
     def test_single_update(self):
         cfg = FilterConfig("lms", n_taps=2, mu=0.5)
-        state, rec = lms_step(FilterState.initial(2), [1.0, 0.0], 1.0, cfg)
-        assert rec.error == 1.0
+        state, err = lms_step(FilterState.initial(2), [1.0, 0.0], 1.0, cfg)
+        assert err == 1.0
         assert state.estimate.tolist() == [0.5, 0.0]
         assert state.iteration == 1
 
@@ -111,14 +111,14 @@ class TestLmsStep:
         state = FilterState(w.copy(), 0)
         for _ in range(10):
             x = rng.standard_normal(5)
-            state, rec = lms_step(state, x, float(np.dot(w, x)), cfg)
-            assert rec.error == 0.0
+            state, err = lms_step(state, x, float(np.dot(w, x)), cfg)
+            assert err == 0.0
         assert np.array_equal(state.estimate, w)
 
     def test_two_tap_example(self):
         cfg = FilterConfig("lms", n_taps=2, mu=0.1)
-        state, rec = lms_step(FilterState(np.array([1.0, 1.0]), 0), [1.0, -1.0], 1.0, cfg)
-        assert rec.error == pytest.approx(1.0)
+        state, err = lms_step(FilterState(np.array([1.0, 1.0]), 0), [1.0, -1.0], 1.0, cfg)
+        assert err == pytest.approx(1.0)
         assert state.estimate == pytest.approx([1.1, 0.9])
 
     def test_dimension_mismatch(self):
@@ -131,16 +131,15 @@ class TestZeroAttractors:
     @pytest.mark.parametrize("alg", ["za_lms", "rza_lms", "sza_lms"])
     def test_rho_zero_matches_lms(self, alg):
         stream = random_stream(6, 50, seed=1)
-        base = run_stream(FilterConfig("lms", n_taps=6, mu=0.05), stream, snapshot_every=1)
-        variant = run_stream(cfg_for(alg, n_taps=6, mu=0.05, rho=0.0), stream, snapshot_every=1)
-        for a, b in zip(base, variant):
-            assert a.error == b.error
-            assert np.array_equal(a.estimate_snapshot, b.estimate_snapshot)
+        base_w, base_e = run_stream(FilterConfig("lms", n_taps=6, mu=0.05), stream)
+        w, e = run_stream(cfg_for(alg, n_taps=6, mu=0.05, rho=0.0), stream)
+        assert np.array_equal(base_e, e)
+        assert np.array_equal(base_w, w)
 
     def test_za_pure_shrink(self):
         cfg = FilterConfig("za_lms", n_taps=2, mu=0.1, rho=0.1)
-        state, rec = za_lms_step(FilterState(np.array([1.0, -1.0]), 0), [0.0, 0.0], 0.0, cfg)
-        assert rec.error == 0.0
+        state, err = za_lms_step(FilterState(np.array([1.0, -1.0]), 0), [0.0, 0.0], 0.0, cfg)
+        assert err == 0.0
         assert state.estimate == pytest.approx([0.9, -0.9])
 
     def test_za_sign_of_zero(self):
@@ -191,29 +190,27 @@ class TestZeroAttractors:
 class TestHardVariants:
     def test_basic_threshold_step(self):
         cfg = FilterConfig("hard_lms", n_taps=2, mu=0.1, sparsity=1)
-        state, rec = hard_lms_step(FilterState.initial(2), [1.0, 2.0], 1.0, cfg)
-        assert rec.error == 1.0
+        state, err = hard_lms_step(FilterState.initial(2), [1.0, 2.0], 1.0, cfg)
+        assert err == 1.0
         assert state.estimate == pytest.approx([0.0, 0.2])
 
     def test_warmup_never_reached_matches_lms(self):
         stream = random_stream(6, 80, seed=2)
-        base = run_stream(FilterConfig("lms", n_taps=6, mu=0.05), stream, snapshot_every=1)
-        hard = run_stream(
+        base_w, base_e = run_stream(FilterConfig("lms", n_taps=6, mu=0.05), stream)
+        hard_w, hard_e = run_stream(
             FilterConfig("hard_init_lms", n_taps=6, mu=0.05, sparsity=2, warmup_steps=10**9),
             stream,
-            snapshot_every=1,
         )
-        for a, b in zip(base, hard):
-            assert a.error == b.error
-            assert np.array_equal(a.estimate_snapshot, b.estimate_snapshot)
+        assert np.array_equal(base_e, hard_e)
+        assert np.array_equal(base_w, hard_w)
 
     def test_warmup_boundary(self):
         # with warmup_steps=k the (k+1)-th update is the first thresholded one
         stream = random_stream(4, 6, seed=7, noise=0.0)
         cfg = FilterConfig("hard_init_lms", n_taps=4, mu=0.1, sparsity=1, warmup_steps=3)
-        records = run_stream(cfg, stream, snapshot_every=1)
-        assert np.count_nonzero(records[2].estimate_snapshot) == 4
-        assert np.count_nonzero(records[3].estimate_snapshot) == 1
+        estimates, _ = run_stream(cfg, stream)
+        assert np.count_nonzero(estimates[2]) == 4
+        assert np.count_nonzero(estimates[3]) == 1
 
     @pytest.mark.parametrize("alg", ["hard_lms", "hard_rel_lms"])
     def test_every_hard_variant_honours_warmup(self, alg):
@@ -223,16 +220,16 @@ class TestHardVariants:
         variant = cfg_for(
             alg, n_taps=6, mu=0.05, sparsity=2, relaxed_sparsity=4, warmup_steps=25
         )
-        lms = run_stream(FilterConfig("lms", n_taps=6, mu=0.05), stream, snapshot_every=1)
-        a = run_stream(warm, stream, snapshot_every=1)
-        b = run_stream(variant, stream, snapshot_every=1)
-        for n, (ra, rb, rl) in enumerate(zip(a, b, lms)):
+        lms_w, _ = run_stream(FilterConfig("lms", n_taps=6, mu=0.05), stream)
+        a_w, a_e = run_stream(warm, stream)
+        b_w, b_e = run_stream(variant, stream)
+        for n in range(len(stream)):
             if alg == "hard_lms" or n < 25:
-                assert ra.error == rb.error
-                assert np.array_equal(ra.estimate_snapshot, rb.estimate_snapshot)
+                assert a_e[n] == b_e[n]
+                assert np.array_equal(a_w[n], b_w[n])
             if n < 25:
-                assert np.array_equal(rb.estimate_snapshot, rl.estimate_snapshot)
-        assert np.count_nonzero(b[-1].estimate_snapshot) == (2 if alg == "hard_lms" else 4)
+                assert np.array_equal(b_w[n], lms_w[n])
+        assert np.count_nonzero(b_w[-1]) == (2 if alg == "hard_lms" else 4)
 
     def test_relaxed_uses_d(self):
         cfg = FilterConfig("hard_rel_lms", n_taps=4, mu=0.1, sparsity=1, relaxed_sparsity=3)
@@ -242,10 +239,10 @@ class TestHardVariants:
     def test_support_size_equals_s_without_ties(self):
         stream = random_stream(16, 300, seed=11)
         cfg = FilterConfig("hard_lms", n_taps=16, mu=0.02, sparsity=3)
-        records = run_stream(cfg, stream, snapshot_every=1)
-        for rec in records:
+        estimates, _ = run_stream(cfg, stream)
+        for w in estimates:
             # Gaussian data gives distinct magnitudes, so exactly s survive
-            assert np.count_nonzero(rec.estimate_snapshot) == 3
+            assert np.count_nonzero(w) == 3
 
     def test_fixed_point_at_truth(self):
         rng = np.random.default_rng(9)
@@ -255,8 +252,8 @@ class TestHardVariants:
         state = FilterState(w.copy(), 0)
         for _ in range(20):
             x = rng.standard_normal(6)
-            state, rec = hard_lms_step(state, x, float(np.dot(w, x)), cfg)
-            assert rec.error == 0.0
+            state, err = hard_lms_step(state, x, float(np.dot(w, x)), cfg)
+            assert err == 0.0
         assert np.array_equal(state.estimate, w)
 
 
@@ -267,9 +264,9 @@ class TestStepDispatch:
             cfg = cfg_for(alg)
             s1, s2 = FilterState.initial(4), FilterState.initial(4)
             for x, y in stream:
-                s1, r1 = step(s1, x, y, cfg)
-                s2, r2 = fn(s2, x, y, cfg)
-                assert r1.error == r2.error
+                s1, e1 = step(s1, x, y, cfg)
+                s2, e2 = fn(s2, x, y, cfg)
+                assert e1 == e2
                 assert np.array_equal(s1.estimate, s2.estimate)
 
 
@@ -336,34 +333,25 @@ class TestStepRows:
 class TestRunStream:
     def test_empty_stream(self):
         stream = MeasurementStream(np.zeros((0, 4)), np.zeros(0))
-        assert run_stream(cfg_for("lms"), stream) == []
+        estimates, errors = run_stream(cfg_for("lms"), stream)
+        assert estimates.shape == (0, 4)
+        assert errors.shape == (0,)
 
-    def test_errors_independent_of_snapshot_cadence(self):
-        stream = random_stream(4, 30, seed=4)
-        cfg = cfg_for("lms")
-        e1 = [r.error for r in run_stream(cfg, stream, snapshot_every=1)]
-        e2 = [r.error for r in run_stream(cfg, stream, snapshot_every=7)]
-        e3 = [r.error for r in run_stream(cfg, stream)]
-        assert e1 == e2 == e3
-
-    def test_snapshot_cadence(self):
-        stream = random_stream(4, 10, seed=4)
-        records = run_stream(cfg_for("lms"), stream, snapshot_every=3)
-        have = [i + 1 for i, r in enumerate(records) if r.estimate_snapshot is not None]
-        assert have == [3, 6, 9]
-
-    def test_bad_cadence(self):
-        stream = random_stream(4, 3, seed=4)
-        with pytest.raises(ValueError, match="snapshot_every"):
-            run_stream(cfg_for("lms"), stream, snapshot_every=0)
+    def test_integer_stream_gets_float_estimates(self):
+        rng = np.random.default_rng(6)
+        x, y = rng.integers(-3, 4, (20, 4)), rng.integers(-3, 4, 20)
+        w, e = run_stream(cfg_for("lms"), MeasurementStream(x, y))
+        w_ref, e_ref = run_stream(cfg_for("lms"), MeasurementStream(x * 1.0, y * 1.0))
+        assert w.dtype == e.dtype == float
+        assert np.array_equal(w, w_ref) and np.array_equal(e, e_ref)
 
     def test_deterministic(self):
         stream = random_stream(4, 30, seed=8)
         cfg = cfg_for("hard_lms", sparsity=2)
-        a = run_stream(cfg, stream, snapshot_every=1)
-        b = run_stream(cfg, stream, snapshot_every=1)
-        assert [r.error for r in a] == [r.error for r in b]
-        assert np.array_equal(a[-1].estimate_snapshot, b[-1].estimate_snapshot)
+        a_w, a_e = run_stream(cfg, stream)
+        b_w, b_e = run_stream(cfg, stream)
+        assert np.array_equal(a_e, b_e)
+        assert np.array_equal(a_w[-1], b_w[-1])
 
 
 class TestStepSizeBound:

@@ -21,6 +21,7 @@ from sparselms import (
     run_stream,
     step_size_from_stream,
 )
+from sparselms import harness
 from sparselms.harness import LearningCurve, SpectrumReport, _ident_block
 from sparselms.signals import esr
 from sparselms.thresholding import hard_threshold, support
@@ -80,6 +81,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(scenario=sc, algorithms=[], **kw)
 
+    @pytest.mark.parametrize(
+        "sc", [IdentScenario(n_taps=8, n_nonzero=2, signal_len=10), SpectrumScenario()]
+    )
+    def test_empty_roster_rejected(self, sc):
+        with pytest.raises(ValueError, match="algorithms: at least one algorithm is required"):
+            ExperimentConfig(scenario=sc, algorithms=[])
+
     def test_numpy_integer_counts_accepted(self):
         cfg = small_ident_config(n_runs=np.int64(2))
         cfg = replace(cfg, snapshot_every=np.int32(50), passes=np.int8(3))
@@ -98,6 +106,50 @@ class TestExperimentConfig:
             run_ident_experiment(cfg)
         with pytest.raises(ValueError, match="SpectrumScenario"):
             run_spectrum_experiment(small_ident_config())
+
+
+class TestSnapshotCadence:
+    def test_default_capped_at_short_signal(self):
+        cfg = small_ident_config(n_runs=1, signal_len=100)
+        assert cfg.snapshot_every == 100
+        curves = run_ident_experiment(cfg)
+        for curve in curves.values():
+            assert [r["iteration"] for r in curve.diagnostics] == [100]
+
+    def test_cadence_beyond_signal_rejected(self):
+        cfg = ExperimentConfig(
+            scenario=IdentScenario(n_taps=16, n_nonzero=3, signal_len=100),
+            algorithms=[FilterConfig("lms", n_taps=16, mu=0.02)],
+            snapshot_every=500,
+        )
+        match = r"snapshot_every \(500\) must not exceed signal_len \(100\)"
+        with pytest.raises(ValueError, match=match):
+            run_ident_experiment(cfg)
+        with pytest.raises(ValueError, match=match):
+            ident_diagnostics(cfg)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, None, "2"])
+    def test_rejected_before_any_stream_is_drawn(self, monkeypatch, workers):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a stream was drawn before the worker count was checked")
+
+        monkeypatch.setattr(harness, "gen_ident_stream", no_draw)
+        monkeypatch.setattr(harness, "gen_spectrum_stream", no_draw)
+        with pytest.raises(ValueError, match="max_workers"):
+            run_ident_experiment(small_ident_config(), max_workers=workers)
+        with pytest.raises(ValueError, match="max_workers"):
+            run_spectrum_experiment(small_spectrum_config(), max_workers=workers)
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_ident_config(n_runs=2)
+        serial = run_ident_experiment(cfg)
+        parallel = run_ident_experiment(cfg, max_workers=np.int64(2))
+        for label in serial:
+            assert np.array_equal(serial[label].esr_linear, parallel[label].esr_linear)
+        report = run_spectrum_experiment(small_spectrum_config(n_runs=1), max_workers=np.int32(1))
+        assert report.n_runs == 1
 
 
 class TestRunIdentExperiment:
@@ -157,20 +209,20 @@ class TestBatchedEngine:
     def test_esr_rows_match_scalar_runs(self, n_taps, s, mu):
         scenario = IdentScenario(n_taps=n_taps, n_nonzero=s, signal_len=120)
         algorithms = all_algorithms(n_taps, s, mu)
-        rows, _ = _ident_block((0, 3), scenario, algorithms, 5, 40)
+        cfg = ExperimentConfig(scenario, algorithms, base_seed=5, snapshot_every=40)
+        rows, _ = _ident_block(cfg, (0, 3))
         for r in range(3):
             stream = gen_ident_stream(replace(scenario, seed=5 + r))
-            for cfg in algorithms:
-                records = run_stream(cfg, stream, snapshot_every=1)
-                ref = np.array([esr(stream.truth, rec.estimate_snapshot) for rec in records])
-                assert np.allclose(rows[cfg.label][r], ref, rtol=1e-12, atol=0), cfg.label
+            for a in algorithms:
+                estimates, _ = run_stream(a, stream)
+                ref = np.array([esr(stream.truth, w) for w in estimates])
+                assert np.allclose(rows[a.label][r], ref, rtol=1e-12, atol=0), a.label
 
     def test_rows_independent_of_block_shape(self):
         cfg = small_ident_config(n_runs=5, algorithms=all_algorithms(16, 3, 0.02))
-        args = (cfg.scenario, cfg.algorithms, cfg.base_seed, cfg.snapshot_every)
-        whole, diags = _ident_block((0, 5), *args)
+        whole, diags = _ident_block(cfg, (0, 5))
         for blocks in ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [(0, 2), (2, 5)]):
-            parts = [_ident_block(b, *args) for b in blocks]
+            parts = [_ident_block(cfg, b) for b in blocks]
             assert parts[0][1] == diags
             assert all(p[1] is None for p in parts[1:])
             for label, rows in whole.items():
@@ -256,7 +308,7 @@ class TestRunSpectrumExperiment:
             s = true_support.size
             for a in algorithms:
                 ref = replace(a, mu=mu, warmup_steps=24)
-                w = run_stream(ref, stream, snapshot_every=len(stream))[-1].estimate_snapshot
+                w = run_stream(ref, stream)[0][-1]
                 top = support(hard_threshold(w, s))
                 if run == 0:
                     assert np.array_equal(report.estimate_magnitudes[a.label], np.abs(w))
@@ -281,10 +333,8 @@ class TestBenchmarkScenarios:
         from sparselms.signals import esr
 
         stream = gen_ident_stream(IdentScenario(seed=0))
-        records = run_stream(
-            FilterConfig("lms", n_taps=256, mu=0.005), stream, snapshot_every=len(stream)
-        )
-        final = esr(stream.truth, records[-1].estimate_snapshot)
+        estimates, _ = run_stream(FilterConfig("lms", n_taps=256, mu=0.005), stream)
+        final = esr(stream.truth, estimates[-1])
         assert 10 * np.log10(final) < -20.0
 
     def test_complex_lms_sanity_limit(self):
@@ -297,7 +347,7 @@ class TestBenchmarkScenarios:
         stream = gen_spectrum_stream(sc, passes=30)
         mu = step_size_from_stream(stream)
         cfg = FilterConfig("lms", n_taps=64, mu=mu)
-        w = run_stream(cfg, stream, snapshot_every=len(stream))[-1].estimate_snapshot
+        w = run_stream(cfg, stream)[0][-1]
         assert esr(stream.truth, w) < 1e-20
 
     def test_warm_started_condition_flips_during_run(self):
