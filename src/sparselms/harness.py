@@ -21,12 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .filters import ATTRACTING, FilterState, step, step_rows
-from .recovery import theorem1_condition, theorem2_condition
+from .recovery import certify_rows
 from .signals import (
     IdentScenario,
     SpectrumScenario,
     check_counts,
-    esr,
     gen_ident_stream,
     gen_spectrum_stream,
     step_size_from_stream,
@@ -66,7 +65,8 @@ class ExperimentConfig:
     ``base_seed + r`` instead.  ``snapshot_every`` defaults to
     ``SNAPSHOT_EVERY``, or to ``signal_len`` for a shorter identification
     scenario.  ``passes`` only applies to spectrum scenarios (retraining
-    sweeps over the same samples).
+    sweeps over the same samples).  The fields stay assignable, so the
+    runners call :meth:`validate` again before drawing any stream.
     """
 
     scenario: IdentScenario | SpectrumScenario
@@ -80,6 +80,10 @@ class ExperimentConfig:
         if self.snapshot_every is None:
             cap = self.scenario.signal_len if isinstance(self.scenario, IdentScenario) else math.inf
             self.snapshot_every = min(SNAPSHOT_EVERY, cap)
+        self.validate()
+
+    def validate(self):
+        """Raise ValueError naming the first field that no runner accepts."""
         check_counts(self, "n_runs", "snapshot_every", "passes")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
@@ -217,6 +221,7 @@ def _map(fn, items, max_workers):
 
 def _check_config(cfg, scenario_type, max_workers=1):
     """Reject a config its runner cannot run, before any stream is drawn."""
+    cfg.validate()
     if not isinstance(cfg.scenario, scenario_type):
         raise ValueError(
             f"scenario: expected {scenario_type.__name__}, got {type(cfg.scenario).__name__}"
@@ -336,9 +341,11 @@ def diagnose_run(w_true, snapshots, relaxed_sparsity=None):
 
     ``snapshots`` is an iterable of (iteration, estimate) pairs.  Each
     record carries ESR/SER (linear and dB), both recovery conditions and
-    the top-s support hit rate.  The relaxed keep-count defaults to
-    min(2 s, N - 1); when no valid relaxation exists the superset
-    condition is reported as None.
+    the top-s support hit rate, all as plain Python numbers.  The relaxed
+    keep-count defaults to min(2 s, N - 1); when no valid relaxation
+    exists the superset condition is reported as None.  The snapshots
+    are diagnosed together as one (K, N) stack by :func:`certify_rows`;
+    each record equals the one its snapshot would get on its own.
     """
     w = np.asarray(w_true, dtype=float)
     sup = support(w)
@@ -349,24 +356,41 @@ def diagnose_run(w_true, snapshots, relaxed_sparsity=None):
     d = relaxed_sparsity if relaxed_sparsity is not None else min(2 * s, n - 1)
     if not s < d < n:
         d = None
-    out = []
-    for iteration, est in snapshots:
-        est = np.asarray(est, dtype=float)
-        ratio = esr(w, est)
-        ser = float("inf") if ratio == 0.0 else 1.0 / ratio
-        top = support(hard_threshold(est, s))
-        record = {
+    snapshots = list(snapshots)
+    if not snapshots:
+        return []
+    iterations, estimates = zip(*snapshots)
+    stack = np.array(estimates, dtype=float)
+    exact = certify_rows(w, stack)
+    superset = [None] * len(stack) if d is None else certify_rows(w, stack, d).holds.tolist()
+    ratio = exact.error_sq / float(np.sum(w * w))
+    with np.errstate(divide="ignore"):
+        # an exact estimate gives ESR 0: infinite SER, -inf dB
+        ser = 1.0 / ratio
+        log_ratio = np.log10(ratio)
+    columns = zip(
+        iterations,
+        ratio.tolist(),
+        (10.0 * log_ratio).tolist(),
+        ser.tolist(),
+        (-10.0 * log_ratio).tolist(),
+        exact.holds.tolist(),
+        superset,
+        ((hard_threshold(stack, s) != 0)[:, sup].sum(axis=1) / s).tolist(),
+    )
+    return [
+        {
             "iteration": int(iteration),
-            "esr": ratio,
-            "esr_db": float("-inf") if ratio == 0.0 else 10.0 * float(np.log10(ratio)),
-            "ser": ser,
-            "ser_db": float("inf") if ratio == 0.0 else -10.0 * float(np.log10(ratio)),
-            "theorem1_holds": bool(theorem1_condition(w, est).condition_holds),
-            "theorem2_holds": None if d is None else bool(theorem2_condition(w, est, d).condition_holds),
-            "support_hit_rate": float(np.isin(sup, top).sum()) / s,
+            "esr": e,
+            "esr_db": e_db,
+            "ser": r,
+            "ser_db": r_db,
+            "theorem1_holds": t1,
+            "theorem2_holds": t2,
+            "support_hit_rate": hit,
         }
-        out.append(record)
-    return out
+        for iteration, e, e_db, r, r_db, t1, t2, hit in columns
+    ]
 
 
 def ident_diagnostics(cfg: ExperimentConfig):
@@ -381,6 +405,12 @@ def ident_diagnostics(cfg: ExperimentConfig):
 
 
 def _json_safe(obj):
+    # plain leaves first: a telemetry summary holds ~10^5 of them
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind is int or kind is bool or kind is str or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -1,23 +1,27 @@
 """Executable support-recovery guarantees and the batch IHT baseline.
 
 The two support guarantees are implemented as runtime checkers: each one
-evaluates its hypothesis on a (true, estimate) pair and, whenever the
-hypothesis holds, verifies the promised support relation before
-returning.  A verification failure raises, which cannot happen unless the
-threshold operator is broken, so the checkers double as regression traps.
+evaluates its hypothesis on every row of a stack of estimates
+(:func:`certify_rows`; one (true, estimate) pair is a one-row stack) and,
+on the rows where the hypothesis holds, verifies the promised support
+relation before returning.  A verification failure raises, which cannot
+happen unless the threshold operator is broken, so the checkers double as
+regression traps.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .thresholding import hard_threshold, support
+from .thresholding import hard_threshold
 
 __all__ = [
     "GUARANTEE_EXACT",
     "GUARANTEE_SUPERSET",
     "GUARANTEE_NONE",
     "RecoveryCertificate",
+    "RowCertificates",
+    "certify_rows",
     "theorem1_condition",
     "theorem2_condition",
     "ser_lower_bound",
@@ -49,17 +53,75 @@ class RecoveryCertificate:
     guarantee: str
 
 
-def _true_vector_stats(w_true, w_hat):
+@dataclass
+class RowCertificates:
+    """One support certificate evaluated on every row of a (K, N) stack.
+
+    ``q``, ``s`` and ``tau`` are as in :class:`RecoveryCertificate`;
+    ``error_sq`` and ``holds`` are (K,) arrays with each row's squared l2
+    error and whether the certificate's hypothesis holds on that row.
+    """
+
+    q: float
+    s: int
+    tau: int | None
+    error_sq: np.ndarray
+    holds: np.ndarray
+
+
+def certify_rows(w_true, estimates, d=None):
+    """Check a support certificate on every row of the (K, N) ``estimates``.
+
+    Without ``d`` this is Theorem 1: when ``error^2 < q^2 / 2`` the top-s
+    entries of the row sit exactly on the true support.  With a relaxed
+    keep-count ``d = s + tau`` it is Theorem 2: when ``error^2 <= q^2 (1
+    - 1/(tau+2))`` and the row has at least ``d`` nonzeros, its top-d
+    support contains the true support.  The promised relation is verified
+    on every row where the hypothesis holds, with one row-wise threshold;
+    a violation raises RuntimeError, which cannot happen unless the
+    threshold operator is broken.
+    """
     w = np.asarray(w_true, dtype=float)
-    wh = np.asarray(w_hat, dtype=float)
-    if w.shape != wh.shape:
-        raise ValueError(f"shape mismatch: {w.shape} vs {wh.shape}")
-    sup = support(w)
-    if sup.size == 0:
+    est = np.asarray(estimates, dtype=float)
+    if w.ndim != 1 or est.ndim != 2 or est.shape[1:] != w.shape:
+        raise ValueError(f"shape mismatch: {w.shape} vs {est.shape}")
+    n = w.shape[0]
+    true_mask = w != 0
+    s = np.count_nonzero(true_mask)
+    if s == 0:
         raise ValueError("true vector must have at least one nonzero entry")
-    q = float(np.min(np.abs(w[sup])))
-    err_sq = float(np.sum((w - wh) ** 2))
-    return w, wh, sup, q, err_sq
+    q = float(np.abs(w[true_mask]).min())
+    diff = w - est
+    # each row is summed like np.sum on that row alone, with the same bits
+    error_sq = np.square(diff, out=diff).sum(axis=1)
+    if d is None:
+        tau = None
+        holds = error_sq < 0.5 * q * q
+        if np.count_nonzero(holds):
+            kept = hard_threshold(est[holds], s) != 0
+            if np.count_nonzero(kept != true_mask):
+                raise RuntimeError("exact-support guarantee violated; threshold operator is broken")
+    else:
+        tau = int(d) - s
+        if tau <= 0 or d >= n:
+            raise ValueError(f"d must satisfy s < d < len(w), got d={d} with s={s}, len={n}")
+        holds = error_sq <= q * q * (1.0 - 1.0 / (tau + 2))
+        if np.count_nonzero(holds):
+            holds &= (est != 0).sum(axis=1) >= d
+        if np.count_nonzero(holds):
+            kept = hard_threshold(est[holds], d) != 0
+            if not kept[:, true_mask].all():
+                raise RuntimeError("superset-support guarantee violated; threshold operator is broken")
+    return RowCertificates(q, s, tau, error_sq, holds)
+
+
+def _certify_one(w_true, w_hat, d):
+    c = certify_rows(w_true, np.asarray(w_hat, dtype=float)[None], d)
+    holds = bool(c.holds[0])
+    guarantee = GUARANTEE_EXACT if d is None else GUARANTEE_SUPERSET
+    return RecoveryCertificate(
+        c.q, float(c.error_sq[0]), c.s, c.tau, holds, guarantee if holds else GUARANTEE_NONE
+    )
 
 
 def theorem1_condition(w_true, w_hat):
@@ -67,14 +129,9 @@ def theorem1_condition(w_true, w_hat):
 
     When the condition holds the top-s entries of the estimate are
     guaranteed to sit exactly on the true support; this is verified
-    before returning.
+    before returning.  The one-row case of :func:`certify_rows`.
     """
-    w, wh, sup, q, err_sq = _true_vector_stats(w_true, w_hat)
-    s = int(sup.size)
-    holds = err_sq < 0.5 * q * q
-    if holds and not np.array_equal(support(hard_threshold(wh, s)), sup):
-        raise RuntimeError("exact-support guarantee violated; threshold operator is broken")
-    return RecoveryCertificate(q, err_sq, s, None, holds, GUARANTEE_EXACT if holds else GUARANTEE_NONE)
+    return _certify_one(w_true, w_hat, None)
 
 
 def theorem2_condition(w_true, w_hat, d):
@@ -83,18 +140,10 @@ def theorem2_condition(w_true, w_hat, d):
     The hypothesis has two parts: error^2 <= q^2 * (1 - 1/(tau+2)) and
     the estimate itself has at least d nonzeros.  When both hold, the
     top-d support of the estimate is guaranteed to contain the true
-    support; this is verified before returning.
+    support; this is verified before returning.  The one-row case of
+    :func:`certify_rows`.
     """
-    w, wh, sup, q, err_sq = _true_vector_stats(w_true, w_hat)
-    s = int(sup.size)
-    tau = int(d) - s
-    if tau <= 0 or d >= w.shape[0]:
-        raise ValueError(f"d must satisfy s < d < len(w), got d={d} with s={s}, len={w.shape[0]}")
-    bound = q * q * (1.0 - 1.0 / (tau + 2))
-    holds = err_sq <= bound and support(wh).size >= d
-    if holds and not np.all(np.isin(sup, support(hard_threshold(wh, d)))):
-        raise RuntimeError("superset-support guarantee violated; threshold operator is broken")
-    return RecoveryCertificate(q, err_sq, s, tau, holds, GUARANTEE_SUPERSET if holds else GUARANTEE_NONE)
+    return _certify_one(w_true, w_hat, d)
 
 
 def ser_lower_bound(s, tau=None):

@@ -26,6 +26,13 @@ def hard_threshold(v, s):
     (bitwise-equal) magnitude ties occur.  When ``v`` has fewer than ``s``
     nonzeros the cut is zero and the output equals the input.
 
+    NaN entries are never dropped.  A NaN magnitude ranks above every
+    number, as in ``np.sort``, so each NaN also takes one of the ``s``
+    places: ``hard_threshold([nan, 1, 2, 3], 2)`` is ``[nan, 0, 0, 3]``,
+    and a row with ``s`` or more NaNs is returned unchanged.  Nothing is
+    checked per call; a diverging filter is reported by the experiment
+    runners instead.
+
     Parameters
     ----------
     v: array_like
@@ -60,7 +67,8 @@ def penalty_mask(v, s):
     Entry ``i`` is 0 when ``i`` lies in ``support(hard_threshold(v, s))``
     and ``sgn(v_i)`` otherwise, with ``sgn(0) = 0``.  The conservative tie
     rule of :func:`hard_threshold` carries over, so all tying entries are
-    spared the penalty.
+    spared the penalty, and so does its NaN rule: a NaN entry is kept,
+    so its penalty is 0.
 
     Requires ``1 <= s < v.shape[-1]``: keeping nothing would penalize even the
     largest entry, and keeping everything leaves nothing to penalize.  A

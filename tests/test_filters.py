@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselms import (
     Algorithm,
@@ -319,6 +321,41 @@ class TestStepRows:
                 states[r], _ = step(states[r], x[n, r], y[n, r], cfg)
                 assert np.array_equal(support(rows[r]), support(states[r].estimate))
                 assert np.allclose(rows[r], states[r].estimate, rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alg=st.sampled_from(list(Algorithm)),
+        dtype=st.sampled_from([float, complex]),
+        n_taps=st.integers(2, 40),
+        runs=st.integers(1, 6),
+        iteration=st.integers(0, 8),
+        data=st.data(),
+    )
+    def test_each_row_is_one_scalar_step(self, alg, dtype, n_taps, runs, iteration, data):
+        s = data.draw(st.integers(1, n_taps - 1))
+        cfg = FilterConfig(
+            alg,
+            n_taps=n_taps,
+            mu=data.draw(st.floats(1e-3, 1.0)),
+            rho=data.draw(st.floats(0.0, 1e-2)),
+            epsilon=data.draw(st.floats(0.1, 20.0)),
+            sparsity=s,
+            relaxed_sparsity=data.draw(st.integers(s, n_taps - 1)),
+            warmup_steps=data.draw(st.integers(0, 8)),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def draw(*shape):
+            out = rng.standard_normal(shape)
+            return out + 1j * rng.standard_normal(shape) if dtype is complex else out
+
+        w, x, y = draw(runs, n_taps), draw(runs, n_taps), draw(runs)
+        rows = step_rows(w, x, y, cfg, iteration)
+        assert rows.dtype == w.dtype
+        for r in range(runs):
+            state, _ = step(FilterState(w[r].copy(), iteration), x[r], y[r], cfg)
+            assert np.array_equal(support(rows[r]), support(state.estimate))
+            assert np.max(np.abs(rows[r] - state.estimate)) <= 1e-12
 
     def test_exact_error_gives_identical_bits(self):
         # integer data make both inner products exact

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselms import (
     Algorithm,
@@ -20,8 +22,10 @@ from sparselms import (
     run_spectrum_experiment,
     run_stream,
     step_size_from_stream,
+    theorem1_condition,
+    theorem2_condition,
 )
-from sparselms import harness
+from sparselms import harness, recovery
 from sparselms.harness import LearningCurve, SpectrumReport, _ident_block
 from sparselms.signals import esr
 from sparselms.thresholding import hard_threshold, support
@@ -87,6 +91,33 @@ class TestExperimentConfig:
     def test_empty_roster_rejected(self, sc):
         with pytest.raises(ValueError, match="algorithms: at least one algorithm is required"):
             ExperimentConfig(scenario=sc, algorithms=[])
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("n_runs", 0, "n_runs must be >= 1"),
+            ("algorithms", [], "algorithms: at least one algorithm is required"),
+            ("snapshot_every", 0, "snapshot_every must be >= 1"),
+            ("n_runs", 1.5, "n_runs must be an integer"),
+            ("passes", 0, "passes must be >= 1"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["ident", "spectrum"])
+    def test_fields_assigned_after_build_rejected_by_runner(self, kind, field, value, match):
+        cfg = small_ident_config() if kind == "ident" else small_spectrum_config()
+        setattr(cfg, field, value)
+        runner = run_ident_experiment if kind == "ident" else run_spectrum_experiment
+        with pytest.raises(ValueError, match=match):
+            runner(cfg)
+        if kind == "ident":
+            with pytest.raises(ValueError, match=match):
+                ident_diagnostics(cfg)
+
+    def test_duplicate_labels_assigned_after_build_rejected(self):
+        cfg = small_ident_config()
+        cfg.algorithms.append(FilterConfig("lms", n_taps=16, mu=0.01))
+        with pytest.raises(ValueError, match="duplicate labels"):
+            run_ident_experiment(cfg)
 
     def test_numpy_integer_counts_accepted(self):
         cfg = small_ident_config(n_runs=np.int64(2))
@@ -227,6 +258,22 @@ class TestBatchedEngine:
             assert all(p[1] is None for p in parts[1:])
             for label, rows in whole.items():
                 assert np.array_equal(np.vstack([p[0][label] for p in parts]), rows)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n_runs=st.integers(1, 7), data=st.data())
+    def test_rows_independent_of_random_block_shapes(self, n_runs, data):
+        scenario = IdentScenario(n_taps=16, n_nonzero=3, signal_len=60)
+        cfg = ExperimentConfig(
+            scenario, all_algorithms(16, 3, 0.02), n_runs=n_runs,
+            base_seed=data.draw(st.integers(0, 10**6)), snapshot_every=20,
+        )
+        cuts = data.draw(st.sets(st.integers(1, n_runs - 1))) if n_runs > 1 else set()
+        bounds = [0, *sorted(cuts), n_runs]
+        parts = [_ident_block(cfg, b) for b in zip(bounds, bounds[1:])]
+        whole, diags = _ident_block(cfg, (0, n_runs))
+        assert parts[0][1] == diags
+        for label, rows in whole.items():
+            assert np.array_equal(np.vstack([p[0][label] for p in parts]), rows)
 
     def test_artifacts_identical_for_any_worker_count(self, tmp_path):
         cfg = small_ident_config(n_runs=5, algorithms=all_algorithms(16, 3, 0.02))
@@ -412,6 +459,118 @@ class TestDiagnoseRun:
         assert [r["iteration"] for r in diags["lms"]] == [50, 100, 150]
         last = diags["hard_init_lms"][-1]
         assert last["support_hit_rate"] == 1.0
+
+
+@st.composite
+def snapshot_stacks(draw):
+    """A sparse truth, a relaxed keep-count and a stack of snapshots.
+
+    Each snapshot is drawn from one of: the zero vector, the truth
+    itself, the truth plus noise on its support only (so it has fewer
+    than d nonzeros), a noisy estimate whose error straddles both theorem
+    bounds, and a noisy estimate with an exact magnitude tie at the top-s
+    cut.
+    """
+    n = draw(st.integers(2, 300))
+    s = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.zeros(n)
+    pos = rng.choice(n, s, replace=False)
+    w[pos] = rng.choice([-1.0, 1.0], s) * (0.5 + 1.5 * rng.random(s))
+    q = np.min(np.abs(w[pos]))
+    kinds = draw(
+        st.lists(st.sampled_from(["zero", "truth", "sparse", "noisy", "tie"]), min_size=1, max_size=12)
+    )
+    rows = []
+    for kind in kinds:
+        noise = rng.standard_normal(n)
+        noise *= q * rng.uniform(0.0, 1.5) / np.linalg.norm(noise)
+        if kind == "zero":
+            row = np.zeros(n)
+        elif kind == "truth":
+            row = w.copy()
+        elif kind == "sparse":
+            row = w + np.where(w != 0, noise, 0.0)
+        else:
+            row = w + noise
+        if kind == "tie" and s < n:
+            order = np.argsort(-np.abs(row), kind="stable")
+            row[order[s]] = -np.copysign(abs(row[order[s - 1]]), row[order[s]])
+        rows.append(row)
+    iterations = sorted(draw(st.lists(st.integers(1, 10**6), min_size=len(rows), max_size=len(rows))))
+    relaxed = draw(st.none() | st.integers(1, n))
+    return w, list(zip(iterations, rows)), relaxed
+
+
+class TestRowWiseDiagnostics:
+    """diagnose_run's stacked records against the one-snapshot certificates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(snapshot_stacks())
+    def test_records_equal_scalar_path(self, case):
+        w, snapshots, relaxed = case
+        sup = support(w)
+        s, n = sup.size, w.size
+        q = float(np.min(np.abs(w[sup])))
+        d = relaxed if relaxed is not None else min(2 * s, n - 1)
+        records = diagnose_run(w, snapshots, relaxed_sparsity=relaxed)
+        assert len(records) == len(snapshots)
+        for (iteration, est), rec in zip(snapshots, records):
+            ratio = esr(w, est)
+            err_sq = float(np.sum((w - est) ** 2))
+            exact = err_sq < 0.5 * q * q
+            assert theorem1_condition(w, est).condition_holds is exact
+            superset = None
+            if s < d < n:
+                superset = bool(
+                    err_sq <= q * q * (1 - 1 / (d - s + 2)) and np.count_nonzero(est) >= d
+                )
+                assert theorem2_condition(w, est, d).condition_holds is superset
+            ref = {
+                "iteration": iteration,
+                "esr": ratio,
+                "esr_db": float("-inf") if ratio == 0.0 else 10.0 * float(np.log10(ratio)),
+                "ser": float("inf") if ratio == 0.0 else 1.0 / ratio,
+                "ser_db": float("inf") if ratio == 0.0 else -10.0 * float(np.log10(ratio)),
+                "theorem1_holds": exact,
+                "theorem2_holds": superset,
+                "support_hit_rate": float(np.isin(sup, support(hard_threshold(est, s))).sum()) / s,
+            }
+            assert rec == ref
+            # plain Python values, so the JSON is the scalar path's too
+            assert [type(v) for v in rec.values()] == [type(v) for v in ref.values()]
+            assert json.dumps(rec) == json.dumps(ref)
+
+    def test_no_snapshots(self):
+        assert diagnose_run(np.array([1.0, 0.0, 0.0]), []) == []
+
+    @staticmethod
+    def _zeros(v, s):
+        return np.zeros_like(np.asarray(v, dtype=float))
+
+    @staticmethod
+    def _drops_largest(v, s):
+        out = hard_threshold(v, s)
+        rows = out.reshape(-1, out.shape[-1])
+        rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)] = 0
+        return out
+
+    @pytest.mark.parametrize("broken", ["_zeros", "_drops_largest"])
+    def test_broken_threshold_trips_every_certificate(self, monkeypatch, broken):
+        w = np.zeros(8)
+        w[[1, 5]] = 1.0
+        est = w + 1e-3 * np.arange(1, 9)
+        assert theorem1_condition(w, est).condition_holds
+        assert theorem2_condition(w, est, 4).condition_holds
+        monkeypatch.setattr(recovery, "hard_threshold", getattr(self, broken))
+        with pytest.raises(RuntimeError, match="exact-support"):
+            theorem1_condition(w, est)
+        with pytest.raises(RuntimeError, match="superset-support"):
+            theorem2_condition(w, est, 4)
+        with pytest.raises(RuntimeError, match="exact-support"):
+            diagnose_run(w, [(1, np.zeros(8)), (2, est)])
+        with pytest.raises(RuntimeError, match="superset-support"):
+            recovery.certify_rows(w, np.stack([np.zeros(8), est]), 4)
 
 
 class TestEmitOutputs:

@@ -177,3 +177,28 @@ class TestRowWise:
             hard_threshold(np.zeros((5, 3)), 4)
         with pytest.raises(ValueError):
             penalty_mask(np.zeros((5, 3)), 3)
+
+
+class TestNaNRule:
+    """NaN entries are never dropped and each takes one of the s places."""
+
+    def test_nan_kept_and_counted(self):
+        out = hard_threshold([np.nan, 1.0, 2.0, 3.0], 2)
+        np.testing.assert_array_equal(out, [np.nan, 0.0, 0.0, 3.0])
+
+    def test_s_or_more_nans_keep_the_row(self):
+        v = np.array([np.nan, 1.0, np.nan, 2.0])
+        np.testing.assert_array_equal(hard_threshold(v, 2), v)
+        np.testing.assert_array_equal(hard_threshold([np.inf, np.nan, 1.0], 1), [np.inf, np.nan, 1.0])
+
+    def test_complex_nan_magnitude(self):
+        out = hard_threshold(np.array([complex(np.nan, 0.0), 1j, 2.0, 3.0]), 2)
+        np.testing.assert_array_equal(out, [complex(np.nan, 0.0), 0, 0, 3.0])
+
+    def test_rows_follow_the_rule_alone(self):
+        out = hard_threshold(np.array([[np.nan, 1.0, 2.0, 3.0], [4.0, 3.0, 2.0, 1.0]]), 2)
+        np.testing.assert_array_equal(out, [[np.nan, 0.0, 0.0, 3.0], [4.0, 3.0, 0.0, 0.0]])
+
+    def test_penalty_mask_spares_nan(self):
+        pm = penalty_mask(np.array([np.nan, 1.0, -2.0, 3.0]), 2)
+        np.testing.assert_array_equal(pm, [0.0, 1.0, -1.0, 0.0])
