@@ -41,7 +41,6 @@ from .signals import (
     esr_db,
     gen_ident_stream,
     gen_spectrum_stream,
-    save_stream_audit,
     step_size_from_stream,
 )
 from .thresholding import hard_threshold, penalty_mask, support

@@ -260,12 +260,12 @@ def step_rows(estimates, inputs, outputs, cfg, iteration):
     """Apply update ``iteration`` of ``cfg`` to many runs at once.
 
     Row ``r`` of the (runs, taps) ``estimates`` is updated with row ``r``
-    of ``inputs`` and ``outputs[r]`` by the same arithmetic as
-    :func:`step`, except that the a-priori errors come from one row-wise
-    product, whose rounding can differ from ``np.dot`` in the last bit.
+    of ``inputs`` and ``outputs[r]`` by the arithmetic of :func:`step`,
+    bit for bit.  The errors come from a stack of 1xN by Nx1 products,
+    which ``matmul`` hands to the same BLAS dot routine as ``np.vdot``.
     Returns the new (runs, taps) estimates.
     """
-    err = outputs - np.einsum("ij,ij->i", estimates.conj(), inputs)
+    err = outputs - (estimates.conj()[:, None, :] @ inputs[:, :, None])[:, 0, 0]
     return _configured_update(estimates, err[:, None], inputs, cfg, iteration)
 
 

@@ -84,7 +84,9 @@ class ExperimentConfig:
 
     def validate(self):
         """Raise ValueError naming the first field that no runner accepts."""
-        check_counts(self, "n_runs", "snapshot_every", "passes")
+        check_counts(self, "n_runs", "base_seed", "snapshot_every", "passes")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.snapshot_every < 1:
@@ -186,8 +188,9 @@ def _ident_block(cfg, runs):
             for n in range(n_steps):
                 lead = n_steps - 1 - n
                 w = step_rows(w, inputs[:, lead : lead + n_taps], outputs[n], a, n)
+                # summed row by row like signals.esr, with the same bits
                 np.subtract(w, truths, out=diff)
-                esr_t[n] = np.einsum("ij,ij->i", diff, diff)
+                esr_t[n] = np.square(diff, out=diff).sum(axis=1)
                 if diagnostics is not None and (n + 1) % cfg.snapshot_every == 0:
                     snapshots.append((n + 1, w[0].copy()))
         esr = esr_t.T / denom[:, None]

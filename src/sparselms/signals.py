@@ -15,8 +15,6 @@ Conventions used throughout:
   ``w^H x(n)`` equals the time-domain sample exactly.
 """
 
-import csv
-import hashlib
 import math
 import operator
 from dataclasses import dataclass
@@ -31,7 +29,6 @@ __all__ = [
     "gen_spectrum_stream",
     "esr",
     "esr_db",
-    "save_stream_audit",
     "step_size_from_stream",
 ]
 
@@ -77,10 +74,6 @@ class MeasurementStream:
     def __iter__(self):
         return zip(self.inputs, self.outputs)
 
-    @property
-    def n_taps(self):
-        return self.inputs.shape[1]
-
 
 @dataclass
 class IdentScenario:
@@ -101,13 +94,15 @@ class IdentScenario:
     random_signs: bool = False
 
     def __post_init__(self):
-        check_counts(self, "n_taps", "n_nonzero", "signal_len")
+        check_counts(self, "n_taps", "n_nonzero", "signal_len", "seed")
         if not 1 <= self.n_nonzero <= self.n_taps:
             raise ValueError(
                 f"n_nonzero must satisfy 1 <= n_nonzero <= n_taps, got {self.n_nonzero}"
             )
         if self.signal_len < 1:
             raise ValueError(f"signal_len must be >= 1, got {self.signal_len}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # +inf means noiseless; NaN and -inf give no usable noise level
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
@@ -130,7 +125,9 @@ class SpectrumScenario:
     seed: int = 0
 
     def __post_init__(self):
-        check_counts(self, "full_len", "n_tones", "n_samples")
+        check_counts(self, "full_len", "n_tones", "n_samples", "seed")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples > self.full_len:
             raise ValueError(
                 f"n_samples ({self.n_samples}) cannot exceed full_len ({self.full_len})"
@@ -228,20 +225,24 @@ def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStr
     return MeasurementStream(inputs, outputs, truth)
 
 
-def step_size_from_stream(stream, rtol=1e-9):
+# Relative spread allowed between the squared input-row norms of a stream.
+NORM_RTOL = 1e-9
+
+
+def step_size_from_stream(stream):
     """Step size 1/||x||^2 from the first input row of a stream.
 
     The squared norm must be constant across the whole stream (relative
-    tolerance ``rtol``); rows of an undersampled DFT matrix satisfy this
-    by construction.
+    tolerance ``NORM_RTOL``); rows of an undersampled DFT matrix satisfy
+    this by construction.
     """
     inputs = np.asarray(stream.inputs)
     norms = np.sum(np.abs(inputs) ** 2, axis=1)
     first = norms[0]
     if first <= 0:
         raise ValueError("first input row has zero norm")
-    if np.max(np.abs(norms - first)) > rtol * first:
-        raise ValueError(f"input row norms vary by more than rtol={rtol}")
+    if np.max(np.abs(norms - first)) > NORM_RTOL * first:
+        raise ValueError(f"input row norms vary by more than rtol={NORM_RTOL}")
     return 1.0 / float(first)
 
 
@@ -263,19 +264,3 @@ def esr_db(w_true, w_hat):
     if ratio == 0.0:
         return float("-inf")
     return 10.0 * np.log10(ratio)
-
-
-def save_stream_audit(stream: MeasurementStream, path):
-    """Write a reproducibility audit of a stream as CSV.
-
-    Columns: measurement index, SHA-256 of the raw input-row bytes
-    (C order, native dtype) and the observed output rendered with
-    ``repr`` for lossless round-trips.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x_sha256", "y"])
-        for i, (x, y) in enumerate(stream):
-            digest = hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
-            value = repr(complex(y)) if np.iscomplexobj(stream.outputs) else repr(float(y))
-            writer.writerow([i, digest, value])

@@ -99,6 +99,8 @@ class TestRunSettings:
             (["ident", "--workers", "0"], "workers"),
             (["ident", "--workers", "-3"], "workers"),
             (["spectrum", "--workers", "-2"], "workers"),
+            (["ident", "--seed", "-1"], "seed"),
+            (["spectrum", "--seed", "-1"], "seed"),
         ],
     )
     def test_bad_run_setting_names_field(self, tmp_path, capsys, argv, field):

@@ -78,6 +78,8 @@ class TestExperimentConfig:
             (dict(n_runs=True), "n_runs"),
             (dict(snapshot_every=2.5), "snapshot_every"),
             (dict(passes=1.5), "passes"),
+            (dict(base_seed=2.5), "base_seed"),
+            (dict(base_seed=-1), "base_seed"),
         ],
     )
     def test_non_integer_counts_name_the_field(self, kw, field):
@@ -100,6 +102,8 @@ class TestExperimentConfig:
             ("snapshot_every", 0, "snapshot_every must be >= 1"),
             ("n_runs", 1.5, "n_runs must be an integer"),
             ("passes", 0, "passes must be >= 1"),
+            ("base_seed", 2.5, "base_seed must be an integer"),
+            ("base_seed", -1, "base_seed must be >= 0"),
         ],
     )
     @pytest.mark.parametrize("kind", ["ident", "spectrum"])
@@ -247,7 +251,15 @@ class TestBatchedEngine:
             for a in algorithms:
                 estimates, _ = run_stream(a, stream)
                 ref = np.array([esr(stream.truth, w) for w in estimates])
-                assert np.allclose(rows[a.label][r], ref, rtol=1e-12, atol=0), a.label
+                assert np.array_equal(rows[a.label][r], ref), a.label
+
+    def test_diagnostics_esr_equals_curve(self):
+        scenario = IdentScenario(n_taps=256, n_nonzero=28, signal_len=300)
+        cfg = ExperimentConfig(scenario, all_algorithms(256, 28, 0.005), snapshot_every=1)
+        for label, curve in run_ident_experiment(cfg).items():
+            assert len(curve.diagnostics) == 300
+            for record in curve.diagnostics:
+                assert record["esr"] == curve.esr_linear[record["iteration"] - 1], label
 
     def test_rows_independent_of_block_shape(self):
         cfg = small_ident_config(n_runs=5, algorithms=all_algorithms(16, 3, 0.02))

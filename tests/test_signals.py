@@ -8,7 +8,6 @@ from sparselms import (
     esr_db,
     gen_ident_stream,
     gen_spectrum_stream,
-    save_stream_audit,
     support,
 )
 
@@ -32,6 +31,11 @@ class TestIdentScenario:
     def test_non_integer_counts_name_the_field(self, kw, field):
         with pytest.raises(ValueError, match=field):
             IdentScenario(**kw)
+
+    @pytest.mark.parametrize("seed,match", [(-1, "seed must be >= 0"), (2.5, "seed must be an integer")])
+    def test_bad_seed_names_the_field(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            IdentScenario(seed=seed)
 
     def test_numpy_integer_counts_accepted(self):
         sc = IdentScenario(n_taps=np.int64(8), n_nonzero=np.int32(2), signal_len=np.uint16(20))
@@ -125,6 +129,11 @@ class TestSpectrumScenario:
     def test_non_integer_counts_name_the_field(self, kw, field):
         with pytest.raises(ValueError, match=field):
             SpectrumScenario(**kw)
+
+    @pytest.mark.parametrize("seed,match", [(-1, "seed must be >= 0"), (2.5, "seed must be an integer")])
+    def test_bad_seed_names_the_field(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            SpectrumScenario(seed=seed)
 
 
 class TestGenSpectrumStream:
@@ -225,26 +234,3 @@ class TestEsr:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             esr([1.0], [1.0, 0.0])
-
-
-class TestStreamAudit:
-    def test_deterministic_and_parseable(self, tmp_path):
-        stream = gen_ident_stream(IdentScenario(n_taps=8, n_nonzero=2, signal_len=5, seed=0))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_stream_audit(stream, p1)
-        save_stream_audit(stream, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        lines = p1.read_text().strip().split("\n")
-        assert lines[0] == "index,x_sha256,y"
-        assert len(lines) == 6
-        # y round-trips through repr
-        y0 = float(lines[1].split(",")[2])
-        assert y0 == stream.outputs[0]
-
-    def test_complex_stream_audit(self, tmp_path):
-        sc = SpectrumScenario(full_len=32, n_tones=2, n_samples=4, seed=0)
-        stream = gen_spectrum_stream(sc)
-        path = tmp_path / "c.csv"
-        save_stream_audit(stream, path)
-        row = path.read_text().strip().split("\n")[1].split(",")
-        assert complex(row[2]) == complex(stream.outputs[0])
