@@ -149,14 +149,9 @@ def _spectrum_experiment(args):
         seed=args.seed,
     )
     algorithms = [
-        FilterConfig(algorithm=Algorithm.LMS, n_taps=args.full_len, mu=1.0, label="complex_lms"),
-        FilterConfig(
-            algorithm=Algorithm.HARD_LMS,
-            n_taps=args.full_len,
-            mu=1.0,
-            sparsity=args.sparsity,
-            label="complex_hard_lms",
-        ),
+        FilterConfig(Algorithm.LMS, args.full_len, mu=1.0, label="complex_lms"),
+        FilterConfig(Algorithm.HARD_LMS, args.full_len, mu=1.0, sparsity=args.sparsity,
+                     label="complex_hard_lms"),
     ]
     return ExperimentConfig(
         scenario=scenario,
@@ -174,6 +169,10 @@ def main(argv=None):
         _apply_config_file(args, parser)
         if args.command == "ident":
             cfg = _ident_experiment(args)
+            # Haykin's mean-square bound 2/(N sigma_x^2), the input having unit variance
+            if args.mu > 2.0 / args.taps:
+                print(f"warning: mu {args.mu} exceeds the mean-square stability bound 2/N = "
+                      f"{2.0 / args.taps:.4g}; the filters may diverge", file=sys.stderr)
             curves = run_ident_experiment(cfg, max_workers=args.workers)
             diagnostics = {label: curve.diagnostics for label, curve in curves.items()}
             paths = emit_outputs(curves, args.out, experiment=cfg, diagnostics=diagnostics)

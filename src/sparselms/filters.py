@@ -6,7 +6,7 @@ reweighted), a selective zero-attractor that spares the current top-``s``
 support, and three hard-threshold variants (immediate, warm-started and
 relaxed).  All seven are one update, a gradient step followed by an
 optional attractor and an optional projection; :func:`step_rows` applies
-the same update to many runs stacked as a (runs, taps) array.  States are
+it to an (algorithms, runs, taps) stack of estimates at once.  States are
 treated as immutable; each step returns a fresh estimate, so independent
 filters can run on concurrent workers.
 
@@ -205,13 +205,13 @@ def _keep_count(cfg, iteration):
 
 
 def _update(w, err, x, mu, keep=None, rho=0.0, attractor=None):
-    """``H_keep(w + mu*conj(err)*x - rho*attractor)``, row by row for a (runs, taps) ``w``.
+    """``H_keep(w + mu*conj(err)*x - rho*attractor)``, row by row for a stacked ``w``.
 
     ``keep`` None skips the threshold.  Evaluated as ``(w + (mu *
     (conj(err) * x))) - (rho * attractor)``; the in-place forms below
     round exactly like that expression and allocate less.  ``err`` is a
     Python number or an array, whose ``conjugate`` returns a real operand
-    itself.
+    itself; ``mu`` is a number or an array broadcasting over ``w``.
     """
     new = err.conjugate() * x
     new *= mu
@@ -223,10 +223,6 @@ def _update(w, err, x, mu, keep=None, rho=0.0, attractor=None):
     return new
 
 
-def _configured_update(w, err, x, cfg, iteration):
-    return _update(w, err, x, cfg.mu, _keep_count(cfg, iteration), cfg.rho, _attractor(w, cfg))
-
-
 def step(state, x, y, cfg):
     """Apply one update of the algorithm selected by ``cfg``: ``(new_state, e)``.
 
@@ -235,8 +231,9 @@ def step(state, x, y, cfg):
     identity ``P``, the zero-attracting variants add ``a`` and the
     hard-threshold variants make ``P`` a hard threshold.
     """
-    x, err = _checked_error(state.estimate, x, y)
-    new = _configured_update(state.estimate, err, x, cfg, state.iteration)
+    w = state.estimate
+    x, err = _checked_error(w, x, y)
+    new = _update(w, err, x, cfg.mu, _keep_count(cfg, state.iteration), cfg.rho, _attractor(w, cfg))
     return FilterState(new, state.iteration + 1), err
 
 
@@ -256,17 +253,31 @@ def complex_hard_lms_step(w, x, y, mu, s):
     return _update(w, err, x, mu, keep=s), err
 
 
-def step_rows(estimates, inputs, outputs, cfg, iteration):
-    """Apply update ``iteration`` of ``cfg`` to many runs at once.
+def step_rows(estimates, inputs, outputs, cfgs, iteration):
+    """Apply update ``iteration`` to an (algorithms, runs, taps) stack.
 
-    Row ``r`` of the (runs, taps) ``estimates`` is updated with row ``r``
-    of ``inputs`` and ``outputs[r]`` by the arithmetic of :func:`step`,
-    bit for bit.  The errors come from a stack of 1xN by Nx1 products,
-    which ``matmul`` hands to the same BLAS dot routine as ``np.vdot``.
-    Returns the new (runs, taps) estimates.
+    ``cfgs`` holds one config per leading slice; all read the same (runs,
+    taps) ``inputs`` and (runs,) ``outputs``.  Row ``r`` of slice ``i`` gets
+    :func:`step` under ``cfgs[i]`` bit for bit: the errors are 1xN by Nx1
+    ``matmul`` products, which use the BLAS dot of ``np.vdot``.  Errors and
+    gradient step cover the whole stack; only attractors and thresholds run
+    per algorithm.  Returns the new stack.
     """
-    err = outputs - (estimates.conj()[:, None, :] @ inputs[:, :, None])[:, 0, 0]
-    return _configured_update(estimates, err[:, None], inputs, cfg, iteration)
+    err = outputs - (estimates.conj()[..., None, :] @ inputs[:, :, None])[..., 0, 0]
+    # a shared step size stays a Python number, like step's, and skips a broadcast
+    mu = cfgs[0].mu
+    if any(cfg.mu != mu for cfg in cfgs):
+        mu = np.array([cfg.mu for cfg in cfgs])[:, None, None]
+    # inputs of the stack's rank: a (1, 1, 1) stack broadcast from (1, 1) rounds unlike step
+    new = _update(estimates, err[..., None], inputs[None], mu)
+    for i, cfg in enumerate(cfgs):
+        if cfg.algorithm in ATTRACTING:
+            row = new[i]
+            row -= cfg.rho * _attractor(estimates[i], cfg)
+        keep = _keep_count(cfg, iteration)
+        if keep is not None:
+            new[i] = hard_threshold(new[i], keep)
+    return new
 
 
 def run_stream(cfg, stream):

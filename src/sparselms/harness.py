@@ -3,16 +3,17 @@
 Runs the two benchmark experiments (sparse identification and
 undersampled spectrum estimation) over seeded Monte Carlo repetitions and
 writes deterministic CSV/JSON artifacts.  Per-run seeds are always
-``base_seed + run_index``.  Identification runs are stepped together in
-blocks of consecutive run indices, blocks and spectrum runs may execute
-on parallel workers, and aggregation happens in run-index order, so
-outputs are byte-identical for any worker count and block size.
+``base_seed + run_index``.  Both experiments step (algorithms, runs,
+taps) stacks through ``filters.step_rows``: identification blocks of
+consecutive runs under the ``BLOCK_RUNS`` row budget, and each spectrum
+run as one (algorithms, 1, full_len) stack.  Blocks and spectrum runs may
+execute on parallel workers and are aggregated in run-index order, so
+outputs are byte-identical for any worker count, block and group size.
 """
 
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import ATTRACTING, FilterState, step, step_rows
+from .filters import ATTRACTING, step_rows
 from .recovery import certify_rows
 from .signals import (
     IdentScenario,
@@ -47,11 +48,16 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Most identification runs stepped together as one (runs, taps) array.
-# Larger blocks spread the per-step interpreter cost over more runs, until
-# the arrays outgrow the CPU caches: at 256 taps the time per run was
-# lowest for blocks of 48-64 runs.  A block holds ~0.15 MB per run.
+# Row budget of an identification stack: a block holds at most this many
+# runs and stacks max(1, BLOCK_RUNS // runs) algorithms.  Larger stacks
+# spread the per-step interpreter cost over more rows until they outgrow the
+# CPU caches: at 256 taps, 48-64 rows were fastest per row, and all seven
+# algorithms of a 48-run block (688 KB) slower than one at a time.
 BLOCK_RUNS = 48
+
+# Run 0's snapshots are diagnosed this many at a time, so a stack of seven
+# algorithms snapshotted at every update holds no more than one did.
+SNAPSHOT_CHUNK = 256
 
 # Default snapshot cadence, capped at an identification scenario's signal_len.
 SNAPSHOT_EVERY = 250
@@ -162,13 +168,13 @@ def _ident_inputs(scenario, seeds):
 def _ident_block(cfg, runs):
     """Step the runs ``range(*runs)`` of every algorithm of ``cfg`` together.
 
-    Returns ``(esr, diagnostics)``: ``esr`` maps each label to the
-    (runs, iterations) ESR of every run in the block, written as the
-    filters step instead of from stored estimates.  When the block starts
-    at run 0, run 0's estimate is kept every ``cfg.snapshot_every`` updates
-    and diagnosed as soon as its algorithm finishes; ``diagnostics`` then
-    maps each label to those records, and is None otherwise.  Raises
-    ValueError when a filter's ESR turns non-finite.
+    The algorithms step in consecutive groups of ``max(1, BLOCK_RUNS //
+    runs)``, each one (algorithms, runs, taps) stack.  Returns ``(esr,
+    diagnostics)``: ``esr`` maps each label to the (runs, iterations) ESR
+    of the block's runs.  A block starting at run 0 keeps run 0's estimate
+    every ``cfg.snapshot_every`` updates and diagnoses ``SNAPSHOT_CHUNK``
+    of them at a time into ``diagnostics``, which is None for other
+    blocks.  Raises ValueError naming the first diverging algorithm.
     """
     start, stop = runs
     inputs, outputs, truths = _ident_inputs(
@@ -176,36 +182,43 @@ def _ident_block(cfg, runs):
     )
     n_steps, n_taps = outputs.shape[0], cfg.scenario.n_taps
     denom = np.sum(np.abs(truths) ** 2, axis=1)
+    size = max(1, BLOCK_RUNS // (stop - start))
     esr_rows = {}
     diagnostics = {} if start == 0 else None
-    for a in cfg.algorithms:
-        w = np.zeros((stop - start, n_taps))
+    for first in range(0, len(cfg.algorithms), size):
+        group = cfg.algorithms[first : first + size]
+        w = np.zeros((len(group), stop - start, n_taps))
         diff = np.empty_like(w)
-        esr_t = np.empty((n_steps, stop - start))
+        esr = np.empty((len(group), stop - start, n_steps))
         snapshots = []
         # divergence is reported below, from the ESR, instead of as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(n_steps):
                 lead = n_steps - 1 - n
-                w = step_rows(w, inputs[:, lead : lead + n_taps], outputs[n], a, n)
+                w = step_rows(w, inputs[:, lead : lead + n_taps], outputs[n], group, n)
                 # summed row by row like signals.esr, with the same bits
                 np.subtract(w, truths, out=diff)
-                esr_t[n] = np.square(diff, out=diff).sum(axis=1)
-                if diagnostics is not None and (n + 1) % cfg.snapshot_every == 0:
-                    snapshots.append((n + 1, w[0].copy()))
-        esr = esr_t.T / denom[:, None]
+                np.square(diff, out=diff).sum(axis=-1, out=esr[:, :, n])
+                if diagnostics is None:
+                    continue
+                if (n + 1) % cfg.snapshot_every == 0:
+                    snapshots.append((n + 1, w[:, 0].copy()))
+                if len(snapshots) == SNAPSHOT_CHUNK or n + 1 == n_steps:
+                    for i, a in enumerate(group):
+                        diagnostics.setdefault(a.label, []).extend(diagnose_run(
+                            truths[0], [(it, s[i]) for it, s in snapshots], a.relaxed_sparsity
+                        ))
+                    snapshots = []
+        esr /= denom[:, None]
         bad = ~np.isfinite(esr)
         if bad.any():
-            row = int(np.flatnonzero(bad.any(axis=1))[0])
+            # the first diverging algorithm in roster order, then its first run
+            i, row = np.argwhere(bad.any(axis=2))[0]
             raise ValueError(
-                f"algorithms[{a.label}]: run {start + row} diverged, its ESR is "
-                f"non-finite from iteration {int(np.argmax(bad[row])) + 1}; reduce mu"
+                f"algorithms[{group[i].label}]: run {start + row} diverged, its ESR is "
+                f"non-finite from iteration {int(np.argmax(bad[i, row])) + 1}; reduce mu"
             )
-        esr_rows[a.label] = esr
-        if diagnostics is not None:
-            diagnostics[a.label] = diagnose_run(
-                truths[0], snapshots, relaxed_sparsity=a.relaxed_sparsity
-            )
+        esr_rows.update(zip((a.label for a in group), esr))
     return esr_rows, diagnostics
 
 
@@ -218,6 +231,8 @@ def _map(fn, items, max_workers):
     if max_workers <= 1 or len(items) == 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
     with ProcessPoolExecutor(max_workers=min(max_workers, len(items))) as pool:
         yield from pool.map(fn, items)
 
@@ -286,35 +301,35 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     }
 
 
-def _spectrum_single_run(cfg, run_index):
-    """``(truth, {label: final estimate})``; each filter walks the samples ``cfg.passes`` times."""
+def _spectrum_run(cfg, run_index):
+    """``(truth, {label: final estimate})``; the filters walk the samples ``cfg.passes`` times."""
     sc = replace(cfg.scenario, seed=cfg.base_seed + run_index)
     stream = gen_spectrum_stream(sc)
     mu = step_size_from_stream(stream)
-    estimates = {}
-    for a in cfg.algorithms:
-        # no thresholding during the first pass over the samples
-        run_cfg = replace(a, mu=mu, warmup_steps=sc.n_samples)
-        # run_stream would keep every estimate; only the last one is scored
-        state = FilterState.initial(run_cfg.n_taps, complex)
-        for _ in range(cfg.passes):
-            for x, y in stream:
-                state, _ = step(state, x, y, run_cfg)
-        estimates[a.label] = state.estimate
-    return stream.truth, estimates
+    # no thresholding during the first pass over the samples
+    algorithms = [replace(a, mu=mu, warmup_steps=sc.n_samples) for a in cfg.algorithms]
+    # every filter reads the same (1, full_len) input row at each step
+    rows = list(zip(stream.inputs[:, None, :], stream.outputs[:, None]))
+    w = np.zeros((len(algorithms), 1, sc.full_len), complex)
+    for p in range(cfg.passes):
+        for t, (x, y) in enumerate(rows):
+            w = step_rows(w, x, y, algorithms, p * sc.n_samples + t)
+    return stream.truth, {a.label: est[0] for a, est in zip(algorithms, w)}
 
 
 def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     """Run the undersampled spectrum experiment and build a report.
 
     The step size is 1/||x||^2 of each run's own input rows; hard-threshold
-    variants skip thresholding during the first pass.  Each filter is
+    variants skip thresholding during the first pass.  A run's filters
+    step together through :func:`~sparselms.filters.step_rows` as one
+    (algorithms, 1, full_len) stack sharing each input row.  Each filter is
     scored by where its final estimate puts the top-s bins, s being the
     true spectrum's support size.  The zero-attracting variants are
     rejected: their sign attractors are real-only.
     """
     _check_config(cfg, SpectrumScenario, max_workers)
-    worker = partial(_spectrum_single_run, cfg)
+    worker = partial(_spectrum_run, cfg)
     hit_rates = {a.label: [] for a in cfg.algorithms}
     true_bin_means = {a.label: [] for a in cfg.algorithms}
     for run, (truth, estimates) in enumerate(_map(worker, range(cfg.n_runs), max_workers)):
@@ -420,17 +435,12 @@ def _json_safe(obj):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return value if np.isfinite(value) else None
+        return _json_safe(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, complex):
-        return {"re": _json_safe(obj.real), "im": _json_safe(obj.imag)}
     return obj
 
 
@@ -438,17 +448,12 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_text(path, text):
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def _write_csv(path, header, first_index, columns):
     """Write ``header``, then row i as ``first_index + i`` and entry i of every column."""
     lines = [",".join(header)]
     for i, row in enumerate(zip(*columns), first_index):
         lines.append(",".join([str(i), *map(_fmt, row)]))
-    _write_text(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", newline="")
 
 
 def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
@@ -498,7 +503,7 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
             }
             summary["n_runs"] = {l: c.n_runs for l, c in curves.items()}
         path = out / "summary.json"
-        _write_text(path, json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n", newline="")
         written.append(path)
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc

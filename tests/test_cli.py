@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparselms
 from sparselms.cli import main
 
 
@@ -66,10 +71,28 @@ class TestIdentCommand:
         code = run_cli(["ident", "--runs", "1", "--mu", "0.5", "--algorithms", "lms",
                         "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
+        # the step-size warning comes first, then the error and nothing else
+        warning, err = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: mu 0.5")
         assert err.startswith("error:")
         assert "lms" in err and "diverged" in err and "iteration" in err
         assert not (out / "curves.csv").exists()
+
+    @pytest.mark.parametrize("mu,warns", [(None, False), ("0.0078", False), ("0.01", True)])
+    def test_step_size_warning(self, tmp_path, capsys, mu, warns):
+        # the mean-square bound 2/N is 0.0078125 at the default 256 taps
+        argv = ["ident", "--runs", "1", "--signal-len", "60", "--algorithms", "lms,hard_lms"]
+        argv += [] if mu is None else ["--mu", mu]
+        code = run_cli([*argv, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        if warns:
+            (line,) = captured.err.splitlines()
+            assert line.startswith("warning: mu 0.01 exceeds") and "0.007812" in line
+        else:
+            assert captured.err == ""
+        assert captured.out.splitlines()[0].startswith("lms: final ESR")
+        assert (tmp_path / "summary.json").exists()
 
     def test_snapshot_cadence_beyond_signal_rejected(self, tmp_path, capsys):
         code = run_cli(["ident", "--signal-len", "100", "--snapshot-every", "500",
@@ -243,3 +266,17 @@ class TestDeterminism:
             outs.append(out)
         for name in ("curves.csv", "summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_import_starts_no_process_pool_machinery():
+    # a one-worker run never starts a pool, so importing the CLI must not load one
+    code = (
+        "import sys, sparselms.cli; "
+        "print([m for m in ('concurrent.futures', 'concurrent.futures.process', "
+        "'multiprocessing') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sparselms.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -292,7 +292,7 @@ class TestStepRows:
         for n in range(120):
             x = np.stack([st.inputs[n] for st in streams])
             y = np.array([st.outputs[n] for st in streams])
-            rows = step_rows(rows, x, y, cfg, n)
+            rows = step_rows(rows[None], x, y, [cfg], n)[0]
             for r, st in enumerate(streams):
                 states[r], _ = step(states[r], st.inputs[n], st.outputs[n], cfg)
                 assert np.array_equal(rows[r], states[r].estimate)
@@ -313,7 +313,7 @@ class TestStepRows:
         states = [FilterState.initial(n_taps, complex) for _ in range(3)]
         rows = np.zeros((3, n_taps), dtype=complex)
         for n in range(120):
-            rows = step_rows(rows, x[n], y[n], cfg, n)
+            rows = step_rows(rows[None], x[n], y[n], [cfg], n)[0]
             for r in range(3):
                 states[r], _ = step(states[r], x[n, r], y[n, r], cfg)
                 assert np.array_equal(rows[r], states[r].estimate)
@@ -346,11 +346,49 @@ class TestStepRows:
             return out + 1j * rng.standard_normal(shape) if dtype is complex else out
 
         w, x, y = draw(runs, n_taps), draw(runs, n_taps), draw(runs)
-        rows = step_rows(w, x, y, cfg, iteration)
+        rows = step_rows(w[None], x, y, [cfg], iteration)[0]
         assert rows.dtype == w.dtype
         for r in range(runs):
             state, _ = step(FilterState(w[r].copy(), iteration), x[r], y[r], cfg)
             assert np.array_equal(rows[r], state.estimate)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dtype=st.sampled_from([float, complex]),
+        n_taps=st.integers(2, 40),
+        runs=st.integers(1, 6),
+        iteration=st.integers(0, 8),
+        data=st.data(),
+    )
+    def test_mixed_stack_is_scalar_steps(self, dtype, n_taps, runs, iteration, data):
+        # all seven variants in one stack, each with its own tuning
+        order = data.draw(st.permutations(list(Algorithm)))
+        cfgs = []
+        for alg in order:
+            s = data.draw(st.integers(1, n_taps - 1))
+            cfgs.append(FilterConfig(
+                alg,
+                n_taps=n_taps,
+                mu=data.draw(st.floats(1e-3, 1.0)),
+                rho=data.draw(st.floats(0.0, 1e-2)),
+                epsilon=data.draw(st.floats(0.1, 20.0)),
+                sparsity=s,
+                relaxed_sparsity=data.draw(st.integers(s, n_taps - 1)),
+                warmup_steps=data.draw(st.integers(0, 8)),
+            ))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def draw(*shape):
+            out = rng.standard_normal(shape)
+            return out + 1j * rng.standard_normal(shape) if dtype is complex else out
+
+        w, x, y = draw(len(cfgs), runs, n_taps), draw(runs, n_taps), draw(runs)
+        stack = step_rows(w, x, y, cfgs, iteration)
+        assert stack.dtype == w.dtype and stack.shape == w.shape
+        for i, cfg in enumerate(cfgs):
+            for r in range(runs):
+                state, _ = step(FilterState(w[i, r].copy(), iteration), x[r], y[r], cfg)
+                assert np.array_equal(stack[i, r], state.estimate), (cfg.algorithm, r)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -374,7 +412,7 @@ class TestStepRows:
         stacked = (w.conj()[:, None, :] @ x[:, :, None])[:, 0, 0]
         assert np.array_equal(stacked, [np.vdot(w[r], x[r]) for r in range(runs)])
         cfg = FilterConfig("lms", n_taps=n_taps, mu=0.1)
-        rows = step_rows(w, x, y, cfg, 0)
+        rows = step_rows(w[None], x, y, [cfg], 0)[0]
         for r in range(runs):
             state, _ = step(FilterState(w[r].copy(), 0), x[r], y[r], cfg)
             assert np.array_equal(rows[r], state.estimate)
@@ -384,7 +422,7 @@ class TestStepRows:
         cfg = cfg_for("hard_rel_lms", n_taps=4)
         w = np.array([[1.0, -2.0, 0.0, 3.0]])
         x = np.array([[1.0, 2.0, 3.0, 4.0]])
-        rows = step_rows(w, x, np.array([5.0]), cfg, 0)
+        rows = step_rows(w[None], x, np.array([5.0]), [cfg], 0)[0]
         state, _ = step(FilterState(w[0].copy(), 0), x[0], 5.0, cfg)
         assert np.array_equal(rows[0], state.estimate)
 

@@ -308,6 +308,48 @@ class TestBatchedEngine:
         assert {label: c.diagnostics for label, c in curves.items()} == standalone
         assert [r["iteration"] for r in standalone["hard_lms"]] == [30, 60, 90, 120, 150]
 
+    @pytest.mark.parametrize("group", [1, 2, 7])
+    def test_rows_independent_of_stack_mates(self, group):
+        # BLOCK_RUNS // runs algorithms share a stack; 48 // 6 = 8 stacks all seven
+        n_runs = harness.BLOCK_RUNS // group
+        assert min(7, harness.BLOCK_RUNS // n_runs) == group
+        algorithms = all_algorithms(16, 3, 0.02)
+        algorithms[1] = replace(algorithms[1], mu=0.01, rho=5e-3)
+        algorithms[6] = replace(algorithms[6], mu=0.03, warmup_steps=10)
+        cfg = small_ident_config(n_runs=n_runs, algorithms=algorithms, signal_len=60)
+        cfg.snapshot_every = 7
+        whole, diags = _ident_block(cfg, (0, n_runs))
+        permuted = [algorithms[i] for i in (4, 0, 6, 2, 5, 1, 3)]
+        shuffled, shuffled_diags = _ident_block(replace(cfg, algorithms=permuted), (0, n_runs))
+        for a in algorithms:
+            alone, alone_diags = _ident_block(replace(cfg, algorithms=[a]), (0, n_runs))
+            for rows, records in ((whole, diags), (shuffled, shuffled_diags)):
+                assert np.array_equal(rows[a.label], alone[a.label]), a.label
+                assert records[a.label] == alone_diags[a.label], a.label
+
+    @pytest.mark.parametrize(
+        "labels,expected",
+        [
+            # the diverging filter leads a stack of stable ones
+            (["fast", "lms", "hard_lms"], "fast.*run 0 diverged.*iteration 249;"),
+            # two diverge; "early" does so first, but "fast" comes first in the roster
+            (["lms", "fast", "early"], "fast.*run 0 diverged.*iteration 249;"),
+            (["early", "fast"], "early.*run 0 diverged.*iteration 218;"),
+        ],
+    )
+    def test_divergence_reported_in_roster_order(self, labels, expected):
+        roster = {
+            "fast": FilterConfig("za_lms", n_taps=16, mu=2.0, rho=1e-4, label="fast"),
+            "early": FilterConfig("rza_lms", n_taps=16, mu=3.0, rho=1e-4, label="early"),
+            "lms": FilterConfig("lms", n_taps=16, mu=0.02),
+            "hard_lms": FilterConfig("hard_lms", n_taps=16, mu=0.02, sparsity=3),
+        }
+        cfg = small_ident_config(
+            n_runs=2, algorithms=[roster[l] for l in labels], signal_len=400
+        )
+        with pytest.raises(ValueError, match=expected):
+            run_ident_experiment(cfg)
+
     def test_divergence_names_algorithm_run_and_iteration(self):
         algorithms = [
             FilterConfig("lms", n_taps=16, mu=0.02),
