@@ -149,9 +149,14 @@ def _spectrum_experiment(args):
         seed=args.seed,
     )
     algorithms = [
-        FilterConfig(Algorithm.LMS, args.full_len, mu=1.0, label="complex_lms"),
-        FilterConfig(Algorithm.HARD_LMS, args.full_len, mu=1.0, sparsity=args.sparsity,
-                     label="complex_hard_lms"),
+        FilterConfig(algorithm=Algorithm.LMS, n_taps=args.full_len, mu=1.0, label="complex_lms"),
+        FilterConfig(
+            algorithm=Algorithm.HARD_LMS,
+            n_taps=args.full_len,
+            mu=1.0,
+            sparsity=args.sparsity,
+            label="complex_hard_lms",
+        ),
     ]
     return ExperimentConfig(
         scenario=scenario,

@@ -4,11 +4,11 @@ Runs the two benchmark experiments (sparse identification and
 undersampled spectrum estimation) over seeded Monte Carlo repetitions and
 writes deterministic CSV/JSON artifacts.  Per-run seeds are always
 ``base_seed + run_index``.  Both experiments step (algorithms, runs,
-taps) stacks through ``filters.step_rows``: identification blocks of
-consecutive runs under the ``BLOCK_RUNS`` row budget, and each spectrum
-run as one (algorithms, 1, full_len) stack.  Blocks and spectrum runs may
-execute on parallel workers and are aggregated in run-index order, so
-outputs are byte-identical for any worker count, block and group size.
+taps) stacks through ``filters.step_rows``: identification blocks of at
+most ``BLOCK_RUNS`` consecutive runs, and each spectrum run as one
+(algorithms, 1, full_len) stack.  Blocks and spectrum runs may execute
+on parallel workers and are aggregated in run-index order, so outputs
+are byte-identical for any worker count and block size.
 """
 
 import json
@@ -48,11 +48,12 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Row budget of an identification stack: a block holds at most this many
-# runs and stacks max(1, BLOCK_RUNS // runs) algorithms.  Larger stacks
-# spread the per-step interpreter cost over more rows until they outgrow the
-# CPU caches: at 256 taps, 48-64 rows were fastest per row, and all seven
-# algorithms of a 48-run block (688 KB) slower than one at a time.
+# Most identification runs stepped together, every algorithm of each run in
+# one (algorithms, runs, taps) stack.  Larger blocks spread the per-step
+# interpreter cost over more runs, until the arrays outgrow the CPU caches:
+# at 256 taps the time per run was lowest for blocks of 48-64 runs.  A
+# 48-run block of seven algorithms was as fast stacked whole as stepped one
+# algorithm at a time.
 BLOCK_RUNS = 48
 
 # Run 0's snapshots are diagnosed this many at a time, so a stack of seven
@@ -168,13 +169,14 @@ def _ident_inputs(scenario, seeds):
 def _ident_block(cfg, runs):
     """Step the runs ``range(*runs)`` of every algorithm of ``cfg`` together.
 
-    The algorithms step in consecutive groups of ``max(1, BLOCK_RUNS //
-    runs)``, each one (algorithms, runs, taps) stack.  Returns ``(esr,
-    diagnostics)``: ``esr`` maps each label to the (runs, iterations) ESR
-    of the block's runs.  A block starting at run 0 keeps run 0's estimate
-    every ``cfg.snapshot_every`` updates and diagnoses ``SNAPSHOT_CHUNK``
-    of them at a time into ``diagnostics``, which is None for other
-    blocks.  Raises ValueError naming the first diverging algorithm.
+    All algorithms step as one (algorithms, runs, taps) stack.  Returns
+    ``(esr, diagnostics)``: ``esr`` maps each label to the (runs,
+    iterations) ESR of the block's runs, written as the filters step
+    instead of from stored estimates.  A block starting at run 0 keeps run
+    0's estimate every ``cfg.snapshot_every`` updates and diagnoses
+    ``SNAPSHOT_CHUNK`` of them at a time into ``diagnostics``, which is
+    None for other blocks.  Raises ValueError naming the first diverging
+    algorithm.
     """
     start, stop = runs
     inputs, outputs, truths = _ident_inputs(
@@ -182,44 +184,40 @@ def _ident_block(cfg, runs):
     )
     n_steps, n_taps = outputs.shape[0], cfg.scenario.n_taps
     denom = np.sum(np.abs(truths) ** 2, axis=1)
-    size = max(1, BLOCK_RUNS // (stop - start))
-    esr_rows = {}
-    diagnostics = {} if start == 0 else None
-    for first in range(0, len(cfg.algorithms), size):
-        group = cfg.algorithms[first : first + size]
-        w = np.zeros((len(group), stop - start, n_taps))
-        diff = np.empty_like(w)
-        esr = np.empty((len(group), stop - start, n_steps))
-        snapshots = []
-        # divergence is reported below, from the ESR, instead of as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(n_steps):
-                lead = n_steps - 1 - n
-                w = step_rows(w, inputs[:, lead : lead + n_taps], outputs[n], group, n)
-                # summed row by row like signals.esr, with the same bits
-                np.subtract(w, truths, out=diff)
-                np.square(diff, out=diff).sum(axis=-1, out=esr[:, :, n])
-                if diagnostics is None:
-                    continue
-                if (n + 1) % cfg.snapshot_every == 0:
-                    snapshots.append((n + 1, w[:, 0].copy()))
-                if len(snapshots) == SNAPSHOT_CHUNK or n + 1 == n_steps:
-                    for i, a in enumerate(group):
-                        diagnostics.setdefault(a.label, []).extend(diagnose_run(
-                            truths[0], [(it, s[i]) for it, s in snapshots], a.relaxed_sparsity
-                        ))
-                    snapshots = []
-        esr /= denom[:, None]
-        bad = ~np.isfinite(esr)
-        if bad.any():
-            # the first diverging algorithm in roster order, then its first run
-            i, row = np.argwhere(bad.any(axis=2))[0]
-            raise ValueError(
-                f"algorithms[{group[i].label}]: run {start + row} diverged, its ESR is "
-                f"non-finite from iteration {int(np.argmax(bad[i, row])) + 1}; reduce mu"
-            )
-        esr_rows.update(zip((a.label for a in group), esr))
-    return esr_rows, diagnostics
+    algorithms = cfg.algorithms
+    w = np.zeros((len(algorithms), stop - start, n_taps))
+    diff = np.empty_like(w)
+    esr = np.empty((len(algorithms), stop - start, n_steps))
+    diagnostics = {a.label: [] for a in algorithms} if start == 0 else None
+    snapshots = []
+    # divergence is reported below, from the ESR, instead of as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            lead = n_steps - 1 - n
+            w = step_rows(w, inputs[:, lead : lead + n_taps], outputs[n], algorithms, n)
+            # summed row by row like signals.esr, with the same bits
+            np.subtract(w, truths, out=diff)
+            np.square(diff, out=diff).sum(axis=-1, out=esr[:, :, n])
+            if diagnostics is None:
+                continue
+            if (n + 1) % cfg.snapshot_every == 0:
+                snapshots.append((n + 1, w[:, 0].copy()))
+            if len(snapshots) == SNAPSHOT_CHUNK or n + 1 == n_steps:
+                for i, a in enumerate(algorithms):
+                    diagnostics[a.label] += diagnose_run(
+                        truths[0], [(it, s[i]) for it, s in snapshots], a.relaxed_sparsity
+                    )
+                snapshots = []
+    esr /= denom[:, None]
+    bad = ~np.isfinite(esr)
+    if bad.any():
+        # the first diverging algorithm in roster order, then its first run
+        i, row = np.argwhere(bad.any(axis=2))[0]
+        raise ValueError(
+            f"algorithms[{algorithms[i].label}]: run {start + row} diverged, its ESR is "
+            f"non-finite from iteration {int(np.argmax(bad[i, row])) + 1}; reduce mu"
+        )
+    return dict(zip((a.label for a in algorithms), esr)), diagnostics
 
 
 def _map(fn, items, max_workers):
@@ -435,12 +433,17 @@ def _json_safe(obj):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, Enum):
         return obj.value
+    if isinstance(obj, np.ndarray):
+        return [_json_safe(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return _json_safe(float(obj))
+        value = float(obj)
+        return value if np.isfinite(value) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
+    if isinstance(obj, complex):
+        return {"re": _json_safe(obj.real), "im": _json_safe(obj.imag)}
     return obj
 
 
@@ -448,12 +451,17 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _write_text(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def _write_csv(path, header, first_index, columns):
     """Write ``header``, then row i as ``first_index + i`` and entry i of every column."""
     lines = [",".join(header)]
     for i, row in enumerate(zip(*columns), first_index):
         lines.append(",".join([str(i), *map(_fmt, row)]))
-    path.write_text("\n".join(lines) + "\n", newline="")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
@@ -503,7 +511,7 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
             }
             summary["n_runs"] = {l: c.n_runs for l, c in curves.items()}
         path = out / "summary.json"
-        path.write_text(json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n", newline="")
+        _write_text(path, json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n")
         written.append(path)
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc

@@ -16,7 +16,7 @@ def support(v):
     return np.flatnonzero(np.asarray(v))
 
 
-def hard_threshold(v, s):
+def hard_threshold(v, s, out=None):
     """Keep the ``s`` largest-magnitude entries of ``v``, zero the rest.
 
     Entries are ranked by absolute value (magnitude for complex input) and
@@ -41,22 +41,28 @@ def hard_threshold(v, s):
     s: int
         number of entries to keep per row, ``1 <= s <= v.shape[-1]``;
         ``s == v.shape[-1]`` is accepted and returns a copy of the input
+    out: ndarray, optional
+        array of ``v``'s shape and dtype to write the result to; passing
+        ``v`` itself zeroes its dropped entries in place
 
     Returns
     -------
-    ndarray with the same shape and dtype as ``v``, dropped entries set
-    to zero.
+    ``out``, or a new ndarray with the same shape and dtype as ``v``,
+    dropped entries set to zero.
     """
     v = np.asarray(v)
     n = v.shape[-1]
     if not 1 <= s <= n:
         raise ValueError(f"s must satisfy 1 <= s <= {n}, got {s}")
+    if out is None:
+        out = v.copy()
+    elif out is not v:
+        out[...] = v
     if s == n:
-        return v.copy()
+        return out
     mags = np.abs(v)
     # the slice keeps the last axis, so each row's cut broadcasts over its row
     cut = np.partition(mags, n - s, axis=-1)[..., n - s : n - s + 1]
-    out = v.copy()
     out[mags < cut] = 0
     return out
 

@@ -308,11 +308,9 @@ class TestBatchedEngine:
         assert {label: c.diagnostics for label, c in curves.items()} == standalone
         assert [r["iteration"] for r in standalone["hard_lms"]] == [30, 60, 90, 120, 150]
 
-    @pytest.mark.parametrize("group", [1, 2, 7])
-    def test_rows_independent_of_stack_mates(self, group):
-        # BLOCK_RUNS // runs algorithms share a stack; 48 // 6 = 8 stacks all seven
-        n_runs = harness.BLOCK_RUNS // group
-        assert min(7, harness.BLOCK_RUNS // n_runs) == group
+    @pytest.mark.parametrize("n_runs", [1, 3, harness.BLOCK_RUNS])
+    def test_rows_independent_of_stack_mates(self, n_runs):
+        # every algorithm of a block shares one stack, whatever the block size
         algorithms = all_algorithms(16, 3, 0.02)
         algorithms[1] = replace(algorithms[1], mu=0.01, rho=5e-3)
         algorithms[6] = replace(algorithms[6], mu=0.03, warmup_steps=10)
@@ -326,6 +324,16 @@ class TestBatchedEngine:
             for rows, records in ((whole, diags), (shuffled, shuffled_diags)):
                 assert np.array_equal(rows[a.label], alone[a.label]), a.label
                 assert records[a.label] == alone_diags[a.label], a.label
+
+    def test_diagnosis_chunks_join_seamlessly(self, monkeypatch):
+        cfg = small_ident_config(n_runs=2, algorithms=all_algorithms(16, 3, 0.02), signal_len=60)
+        cfg.snapshot_every = 4
+        whole = _ident_block(cfg, (0, 2))
+        # 15 snapshots diagnosed 4, 4, 4 and 3 at a time
+        monkeypatch.setattr(harness, "SNAPSHOT_CHUNK", 4)
+        chunked = _ident_block(cfg, (0, 2))
+        assert chunked[1] == whole[1]
+        assert [r["iteration"] for r in chunked[1]["lms"]] == list(range(4, 61, 4))
 
     @pytest.mark.parametrize(
         "labels,expected",

@@ -54,6 +54,23 @@ class TestHardThreshold:
         hard_threshold(v, 1)
         assert v.tolist() == [3.0, 1.0, 2.0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(vectors(), st.data(), st.sampled_from(["self", "other"]))
+    def test_out_gets_the_copy_result(self, v, data, target):
+        # in place on v itself, or into another array holding stale values
+        s = data.draw(st.integers(1, len(v)))
+        expected = hard_threshold(v, s)
+        out = v if target == "self" else np.full_like(v, 7.0)
+        assert hard_threshold(v, s, out=out) is out
+        assert np.array_equal(out, expected)
+
+    def test_out_slice_of_a_stack(self):
+        # a slice thresholded in place leaves its stack mates alone
+        w = np.array([[[3.0, -1.0, 2.0]], [[1.0 + 1j, 0.5, -2j]]])
+        row = w[1]
+        hard_threshold(row, 1, out=row)
+        assert w.tolist() == [[[3.0, -1.0, 2.0]], [[0, 0, -2j]]]
+
     def test_complex_ranks_by_magnitude(self):
         out = hard_threshold(np.array([3j, 1 + 1j, 0]), 1)
         assert out.tolist() == [3j, 0, 0]
