@@ -420,31 +420,57 @@ def ident_diagnostics(cfg: ExperimentConfig):
     return _ident_block(cfg, (0, 1))[1]
 
 
-def _json_safe(obj):
-    # plain leaves first: a telemetry summary holds ~10^5 of them
-    kind = type(obj)
-    if kind is float:
-        return obj if math.isfinite(obj) else None
-    if kind is int or kind is bool or kind is str or obj is None:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+def _plain(obj):
+    """``obj`` as a JSON scalar, str, list, tuple or dict; non-finite numbers become None."""
     if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
+        obj = obj.value
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return value if np.isfinite(value) else None
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex):
-        return {"re": _json_safe(obj.real), "im": _json_safe(obj.imag)}
-    return obj
+        return {"re": obj.real, "im": obj.imag}
+    return _plain(obj.tolist()) if isinstance(obj, np.ndarray) else obj
+
+
+def _json_text(obj, pad="\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of ``obj`` under :func:`_plain`'s rules.
+
+    Keys are written as ``str(key)``.  ``pad`` is the line break and indent
+    of ``obj``'s own line.
+    """
+    obj = _plain(obj)
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(_items(obj, inner)) + pad + "]"
+    return _items([obj], pad)[0] if isinstance(obj, dict) and obj else json.dumps(obj)
+
+
+def _items(values, pad):
+    """The JSON texts of the non-empty list or tuple ``values``, each at the indent ``pad``.
+
+    The C encoder writes scalars, keys and strings, and a list of numbers
+    at once.  Dicts of one key set are written a key at a time into one
+    template, so the diagnostics' ~10^5 numbers take one encoder call per
+    column.
+    """
+    if set(map(type, values)) <= {float, int, bool, type(None)}:
+        # numbers and literals but no strings, so ", " only ever separates two values
+        text = json.dumps(values)
+        for token in ("-Infinity", "Infinity", "NaN"):
+            text = text.replace(token, "null")
+        return text[1:-1].split(", ")
+    keys = values[0].keys() if isinstance(values[0], dict) else None
+    if not keys or not all(isinstance(r, dict) and r.keys() == keys for r in values):
+        return [_json_text(v, pad) for v in values]
+    names = {str(k): k for k in keys}  # as in {str(k): v}, the last of equal keys wins
+    inner = pad + "  "
+    fields = [inner + json.dumps(n).replace("%", "%%") + ": %s" for n in sorted(names)]
+    columns = [_items([r[names[n]] for r in values], inner) for n in sorted(names)]
+    template = "{" + ",".join(fields) + pad + "}"
+    return [template % row for row in zip(*columns)]
 
 
 def _fmt(value):
@@ -470,8 +496,12 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
     A dict of LearningCurve values produces ``curves.csv`` (iteration
     column plus one ESR-dB column per label); a SpectrumReport produces
     ``spectrum.csv`` (bin, true magnitude, one estimate column per
-    label).  Both produce ``summary.json``.  Files are byte-stable across
-    reruns of the same configuration.  Returns the written paths.
+    label).  Both produce ``summary.json``: the stdlib's ``indent=2,
+    sort_keys=True`` text of the summary with non-finite numbers as
+    ``null`` (:func:`_json_text`), encoded whole before the file is opened,
+    so an unencodable value raises TypeError and writes no file.  Files are
+    byte-stable across reruns of the same configuration.  Returns the
+    written paths.
     """
     out = Path(output_dir)
     try:
@@ -492,12 +522,8 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
             _write_csv(path, ["bin", "true_mag", *estimates], 0, columns)
             written.append(path)
             summary["kind"] = "spectrum"
-            summary["sparsity"] = result.sparsity
-            summary["n_runs"] = result.n_runs
-            summary["hit_rates"] = result.hit_rates
-            summary["per_run_hit_rates"] = result.per_run_hit_rates
-            summary["true_bin_means"] = result.true_bin_means
-            summary["top_sets"] = {l: v.tolist() for l, v in result.top_sets.items()}
+            # every report field but the magnitude columns of spectrum.csv
+            summary.update((k, v) for k, v in vars(result).items() if "magnitudes" not in k)
         else:
             curves = dict(result)
             path = out / "curves.csv"
@@ -511,7 +537,7 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
             }
             summary["n_runs"] = {l: c.n_runs for l, c in curves.items()}
         path = out / "summary.json"
-        _write_text(path, json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n")
+        _write_text(path, _json_text(summary) + "\n")
         written.append(path)
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc

@@ -1,5 +1,7 @@
 """Shared test utilities: oracles and Monte Carlo drivers."""
 
+import math
+from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
@@ -105,3 +107,36 @@ def replay_sza_run(w_true, mu, rho, cap_x, cap_y):
     stream = MeasurementStream(np.asarray(cap_x), np.asarray(cap_y), np.asarray(w_true))
     estimates, _ = run_stream(cfg, stream)
     return estimates
+
+
+def ref_json_safe(obj):
+    """Reference conversion of a summary for ``json.dumps(..., indent=2, sort_keys=True)``.
+
+    A deep copy in which Enum members become their values, NumPy scalars
+    and arrays become Python numbers and lists, tuples become lists,
+    complex numbers become ``{"re", "im"}`` dicts, non-finite numbers
+    become None and keys become ``str(key)``.
+    """
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind is int or kind is bool or kind is str or obj is None:
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): ref_json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_json_safe(v) for v in obj]
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, np.ndarray):
+        return [ref_json_safe(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        value = float(obj)
+        return value if np.isfinite(value) else None
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": ref_json_safe(obj.real), "im": ref_json_safe(obj.imag)}
+    return obj
