@@ -216,13 +216,16 @@ def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStr
     truth[L - bins] = 1j * amp
 
     positions = rng.choice(L, size=sc.n_samples, replace=False)
-    # conj of the inverse-DFT rows, so that truth^H x(t) = clean(t)
-    rows = np.exp(-2j * np.pi * np.outer(positions, t) / L) / np.sqrt(L)
     samples = noisy[positions]
-
-    inputs = np.tile(rows, (passes, 1))
-    outputs = np.tile(samples, passes)
-    return MeasurementStream(inputs, outputs, truth)
+    # conj inverse-DFT rows (truth^H x(t) = clean(t)), drawn in place by chunks
+    rows = np.empty((sc.n_samples, L), dtype=complex)
+    chunk = max(1, 2**15 // L)
+    for i in range(0, sc.n_samples, chunk):
+        np.exp(-2j * np.pi * np.outer(positions[i : i + chunk], t) / L, out=rows[i : i + chunk])
+    rows /= np.sqrt(L)
+    if passes == 1:
+        return MeasurementStream(rows, samples, truth)
+    return MeasurementStream(np.tile(rows, (passes, 1)), np.tile(samples, passes), truth)
 
 
 # Relative spread allowed between the squared input-row norms of a stream.

@@ -24,7 +24,10 @@ def hard_threshold(v, s, out=None):
     Ties at the cut are resolved conservatively: every tying entry is
     retained, so the output can have more than ``s`` nonzeros when exact
     (bitwise-equal) magnitude ties occur.  When ``v`` has fewer than ``s``
-    nonzeros the cut is zero and the output equals the input.
+    nonzeros the cut is zero and the output equals the input.  The cut is
+    read from ``np.sort``: the same order statistic as ``np.partition``'s,
+    NaN last, but much faster on rows with few distinct magnitudes, which
+    are common (a spectrum estimate grows by constant-modulus DFT rows).
 
     NaN entries are never dropped.  A NaN magnitude ranks above every
     number, as in ``np.sort``, so each NaN also takes one of the ``s``
@@ -62,7 +65,7 @@ def hard_threshold(v, s, out=None):
         return out
     mags = np.abs(v)
     # the slice keeps the last axis, so each row's cut broadcasts over its row
-    cut = np.partition(mags, n - s, axis=-1)[..., n - s : n - s + 1]
+    cut = np.sort(mags, axis=-1)[..., n - s : n - s + 1]
     out[mags < cut] = 0
     return out
 

@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from sparselms import FilterConfig, MeasurementStream, run_stream
+from sparselms.signals import _tone_bins
 
 
 def exhaustive_top_energy(v, s):
@@ -36,6 +37,67 @@ def exhaustive_top_energy(v, s):
     idx = sorted(keep)
     out[idx] = v[idx]
     return out
+
+
+def partition_hard_threshold(v, s, out=None):
+    """Reference hard threshold that takes its cut from ``np.partition``.
+
+    The package's former implementation, kept verbatim; the package now
+    reads the same order statistic from ``np.sort`` and must match this
+    bit for bit.
+    """
+    v = np.asarray(v)
+    n = v.shape[-1]
+    if not 1 <= s <= n:
+        raise ValueError(f"s must satisfy 1 <= s <= {n}, got {s}")
+    if out is None:
+        out = v.copy()
+    elif out is not v:
+        out[...] = v
+    if s == n:
+        return out
+    mags = np.abs(v)
+    # the slice keeps the last axis, so each row's cut broadcasts over its row
+    cut = np.partition(mags, n - s, axis=-1)[..., n - s : n - s + 1]
+    out[mags < cut] = 0
+    return out
+
+
+def whole_matrix_spectrum_stream(sc, passes=1):
+    """Reference spectrum stream built through whole-matrix temporaries.
+
+    The package's former ``gen_spectrum_stream``, kept verbatim: one
+    ``(n_samples, full_len)`` phase matrix, one ``np.exp`` over it and an
+    ``np.tile`` copy even at ``passes=1``.  The package draws the rows in
+    place, a chunk at a time, and must match this bit for bit.
+    """
+    if passes < 1:
+        raise ValueError(f"passes must be >= 1, got {passes}")
+    rng = np.random.default_rng(sc.seed)
+    L = sc.full_len
+    bins = _tone_bins(sc, rng)
+
+    t = np.arange(L)
+    clean = np.sin(2.0 * np.pi * np.outer(t, bins) / L).sum(axis=1)
+    if np.isinf(sc.snr_db):
+        noisy = clean
+    else:
+        noise_var = (sc.n_tones / 2.0) / 10.0 ** (sc.snr_db / 10.0)
+        noisy = clean + np.sqrt(noise_var) * rng.standard_normal(L)
+
+    amp = np.sqrt(L) / 2.0
+    truth = np.zeros(L, dtype=complex)
+    truth[bins] = -1j * amp
+    truth[L - bins] = 1j * amp
+
+    positions = rng.choice(L, size=sc.n_samples, replace=False)
+    # conj of the inverse-DFT rows, so that truth^H x(t) = clean(t)
+    rows = np.exp(-2j * np.pi * np.outer(positions, t) / L) / np.sqrt(L)
+    samples = noisy[positions]
+
+    inputs = np.tile(rows, (passes, 1))
+    outputs = np.tile(samples, passes)
+    return MeasurementStream(inputs, outputs, truth)
 
 
 def sza_ensemble(

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import whole_matrix_spectrum_stream
 from sparselms import (
     IdentScenario,
     SpectrumScenario,
@@ -210,6 +213,45 @@ class TestGenSpectrumStream:
             noise_power = float(np.mean(np.abs(residual) ** 2))
             devs.append(10 * np.log10((sc.n_tones / 2) / noise_power) - 20.0)
         assert abs(np.mean(devs)) < 0.5
+
+
+class TestChunkedSpectrumRows:
+    """Rows drawn in place by chunks keep the bits of the whole-matrix draw."""
+
+    @pytest.mark.parametrize("passes", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(),  # 300 rows: not a multiple of the 32-row chunk
+            dict(full_len=999, n_tones=5, n_samples=100),  # odd full_len
+            dict(full_len=2048, n_tones=8, n_samples=200),  # 16-row chunks
+            dict(full_len=127, n_tones=3, n_samples=127),  # a single chunk
+            dict(full_len=2**15 + 1, n_tones=2, n_samples=3),  # one row per chunk
+        ],
+    )
+    def test_matches_whole_matrix_stream(self, kw, seed, passes):
+        sc = SpectrumScenario(seed=seed, **kw)
+        got = gen_spectrum_stream(sc, passes=passes)
+        want = whole_matrix_spectrum_stream(sc, passes=passes)
+        for field in ("inputs", "outputs", "truth"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+
+    def test_peak_memory_close_to_the_rows(self):
+        # the whole-matrix draw peaked at ~2.1x the rows it returned
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            stream = gen_spectrum_stream(SpectrumScenario())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.5 * stream.inputs.nbytes
 
 
 class TestEsr:

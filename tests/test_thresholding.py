@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import exhaustive_top_energy
+from helpers import exhaustive_top_energy, partition_hard_threshold
 from sparselms import hard_threshold, penalty_mask, support
 
 
@@ -219,3 +219,63 @@ class TestNaNRule:
     def test_penalty_mask_spares_nan(self):
         pm = penalty_mask(np.array([np.nan, 1.0, -2.0, 3.0]), 2)
         np.testing.assert_array_equal(pm, [0.0, 1.0, -1.0, 0.0])
+
+
+class TestPartitionOracle:
+    """The sorted cut keeps every bit of the former ``np.partition`` cut."""
+
+    # signed zeros, infinities, NaN, subnormals and a few values that tie
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.5e-308,
+               1.0, -1.0, 0.5, 2.0, 1e300]
+
+    @staticmethod
+    def assert_matches(v, s):
+        with np.errstate(all="ignore"):
+            expected = partition_hard_threshold(v, s)
+            assert hard_threshold(v, s).tobytes() == expected.tobytes()
+            if s < v.shape[-1]:
+                penalty = np.sign(v)
+                penalty[expected != 0] = 0
+                assert penalty_mask(v, s).tobytes() == penalty.tobytes()
+
+    @staticmethod
+    @st.composite
+    def special_arrays(draw):
+        shape = draw(st.sampled_from([(), (1,), (3,)])) + (draw(st.integers(1, 24)),)
+        values = st.one_of(st.sampled_from(TestPartitionOracle.SPECIAL), st.floats(width=64))
+        parts = [draw(hnp.arrays(np.float64, shape, elements=values)) for _ in range(2)]
+        if not draw(st.booleans()):
+            return parts[0]
+        v = np.empty(shape, dtype=complex)
+        v.real, v.imag = parts
+        return v
+
+    @staticmethod
+    @st.composite
+    def constant_modulus_rows(draw):
+        # a sparse estimate plus one LMS increment along a partial-DFT row,
+        # as in the spectrum experiment: every entry off the support grows
+        # by the same modulus, up to rounding
+        n = draw(st.integers(2, 64))
+        rows = draw(st.integers(1, 3))
+        c = draw(st.sampled_from([1.0, 0.1, 1e-3, 3.7]))
+        positions = np.array(draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows)))
+        v = c * np.exp(-2j * np.pi * np.outer(positions, np.arange(n)) / n) / np.sqrt(n)
+        if draw(st.booleans()):
+            v = c * np.sign(v.real)
+        for row in v:
+            idx = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+            row[idx] += draw(st.sampled_from([-2.0, 1.0, 5.0]))
+        return v[0] if rows == 1 and draw(st.booleans()) else v
+
+    @settings(max_examples=400, deadline=None)
+    @given(special_arrays())
+    def test_special_values_every_s(self, v):
+        for s in range(1, v.shape[-1] + 1):
+            self.assert_matches(v, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(constant_modulus_rows())
+    def test_constant_modulus_ties_every_s(self, v):
+        for s in range(1, v.shape[-1] + 1):
+            self.assert_matches(v, s)
