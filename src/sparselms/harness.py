@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .filters import ATTRACTING, step_rows
-from .recovery import certify_rows
+from .recovery import _top_mask, certify_rows
 from .signals import (
     IdentScenario,
     SpectrumScenario,
+    _ident_draw,
     check_counts,
-    gen_ident_stream,
     gen_spectrum_stream,
     step_size_from_stream,
 )
@@ -152,17 +152,15 @@ def _ident_inputs(scenario, seeds):
     The tap-delay window of step ``n`` is ``[u(n), ..., u(n-N+1)]``.
     Storing each run's zero-padded ``u`` reversed makes the windows of all
     runs at step ``n`` the (runs, taps) slice ``[:, L-1-n : L-1-n+N]``,
-    so the (L, N) window matrix of a stream is never kept.
+    so no (L, N) window matrix is ever built.
     """
     inputs, outputs, truths = [], [], []
     for seed in seeds:
-        stream = gen_ident_stream(replace(scenario, seed=seed))
-        # column 0 of the window matrix is u itself
-        padded = np.concatenate([np.zeros(scenario.n_taps - 1), stream.inputs[:, 0]])
-        inputs.append(padded[::-1])
-        outputs.append(stream.outputs)
-        truths.append(stream.truth)
-        del stream  # at most one (L, N) window matrix is alive at a time
+        windows, y, truth = _ident_draw(replace(scenario, seed=seed))
+        # column 0 of the windows is u itself
+        inputs.append(np.concatenate([np.zeros(scenario.n_taps - 1), windows[:, 0]])[::-1])
+        outputs.append(y)
+        truths.append(truth)
     return np.array(inputs), np.array(outputs).T.copy(), np.array(truths)
 
 
@@ -189,7 +187,12 @@ def _ident_block(cfg, runs):
     diff = np.empty_like(w)
     esr = np.empty((len(algorithms), stop - start, n_steps))
     diagnostics = {a.label: [] for a in algorithms} if start == 0 else None
-    snapshots = []
+    iterations = []
+    if diagnostics is not None:
+        # one reused (algorithms, snapshots, taps) buffer, so that each
+        # algorithm's chunk is a contiguous stack
+        chunk = min(SNAPSHOT_CHUNK, n_steps // cfg.snapshot_every)
+        snapshots = np.empty((len(algorithms), chunk, n_taps))
     # divergence is reported below, from the ESR, instead of as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
@@ -201,13 +204,14 @@ def _ident_block(cfg, runs):
             if diagnostics is None:
                 continue
             if (n + 1) % cfg.snapshot_every == 0:
-                snapshots.append((n + 1, w[:, 0].copy()))
-            if len(snapshots) == SNAPSHOT_CHUNK or n + 1 == n_steps:
-                for i, a in enumerate(algorithms):
-                    diagnostics[a.label] += diagnose_run(
-                        truths[0], [(it, s[i]) for it, s in snapshots], a.relaxed_sparsity
+                snapshots[:, len(iterations)] = w[:, 0]
+                iterations.append(n + 1)
+            if len(iterations) == SNAPSHOT_CHUNK or n + 1 == n_steps:
+                for a, stack in zip(algorithms, snapshots[:, : len(iterations)]):
+                    diagnostics[a.label] += _diagnose_stack(
+                        truths[0], iterations, stack, a.relaxed_sparsity
                     )
-                snapshots = []
+                iterations = []
     esr /= denom[:, None]
     bad = ~np.isfinite(esr)
     if bad.any():
@@ -363,6 +367,13 @@ def diagnose_run(w_true, snapshots, relaxed_sparsity=None):
     are diagnosed together as one (K, N) stack by :func:`certify_rows`;
     each record equals the one its snapshot would get on its own.
     """
+    snapshots = list(snapshots)
+    stack = np.array([estimate for _, estimate in snapshots], dtype=float)
+    return _diagnose_stack(w_true, [it for it, _ in snapshots], stack, relaxed_sparsity)
+
+
+def _diagnose_stack(w_true, iterations, stack, relaxed_sparsity):
+    """:func:`diagnose_run`'s records of the (K, N) estimates ``stack``, one per iteration."""
     w = np.asarray(w_true, dtype=float)
     sup = support(w)
     if sup.size == 0:
@@ -372,11 +383,8 @@ def diagnose_run(w_true, snapshots, relaxed_sparsity=None):
     d = relaxed_sparsity if relaxed_sparsity is not None else min(2 * s, n - 1)
     if not s < d < n:
         d = None
-    snapshots = list(snapshots)
-    if not snapshots:
+    if not iterations:
         return []
-    iterations, estimates = zip(*snapshots)
-    stack = np.array(estimates, dtype=float)
     exact = certify_rows(w, stack)
     superset = [None] * len(stack) if d is None else certify_rows(w, stack, d).holds.tolist()
     ratio = exact.error_sq / float(np.sum(w * w))
@@ -384,6 +392,12 @@ def diagnose_run(w_true, snapshots, relaxed_sparsity=None):
         # an exact estimate gives ESR 0: infinite SER, -inf dB
         ser = 1.0 / ratio
         log_ratio = np.log10(ratio)
+    # a certified row's top s sit on the true support (certify_rows checked
+    # that), so only the other rows are thresholded for their hit rate
+    hits = np.ones(len(stack))
+    missed = ~exact.holds
+    if missed.any():
+        hits[missed] = _top_mask(stack, missed, s)[:, sup].sum(axis=1) / s
     columns = zip(
         iterations,
         ratio.tolist(),
@@ -392,7 +406,7 @@ def diagnose_run(w_true, snapshots, relaxed_sparsity=None):
         (-10.0 * log_ratio).tolist(),
         exact.holds.tolist(),
         superset,
-        ((hard_threshold(stack, s) != 0)[:, sup].sum(axis=1) / s).tolist(),
+        hits.tolist(),
     )
     return [
         {

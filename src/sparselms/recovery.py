@@ -69,6 +69,19 @@ class RowCertificates:
     holds: np.ndarray
 
 
+# Rows thresholded at a time when a stack is verified.  hard_threshold holds
+# three temporaries the size of its input; in slices they stay smaller than
+# the stack's one error temporary, and the heap need not grow for them.
+VERIFY_ROWS = 64
+
+
+def _top_mask(estimates, rows, keep):
+    """``hard_threshold(estimates[rows], keep) != 0``, ``VERIFY_ROWS`` selected rows at a time."""
+    idx = np.flatnonzero(rows)
+    slices = [idx[i : i + VERIFY_ROWS] for i in range(0, idx.size, VERIFY_ROWS)]
+    return np.concatenate([hard_threshold(estimates[i], keep) != 0 for i in slices])
+
+
 def certify_rows(w_true, estimates, d=None):
     """Check a support certificate on every row of the (K, N) ``estimates``.
 
@@ -77,9 +90,9 @@ def certify_rows(w_true, estimates, d=None):
     keep-count ``d = s + tau`` it is Theorem 2: when ``error^2 <= q^2 (1
     - 1/(tau+2))`` and the row has at least ``d`` nonzeros, its top-d
     support contains the true support.  The promised relation is verified
-    on every row where the hypothesis holds, with one row-wise threshold;
-    a violation raises RuntimeError, which cannot happen unless the
-    threshold operator is broken.
+    on every row where the hypothesis holds, with row-wise thresholds of
+    ``VERIFY_ROWS`` rows at a time; a violation raises RuntimeError, which
+    cannot happen unless the threshold operator is broken.
     """
     w = np.asarray(w_true, dtype=float)
     est = np.asarray(estimates, dtype=float)
@@ -94,11 +107,12 @@ def certify_rows(w_true, estimates, d=None):
     diff = w - est
     # each row is summed like np.sum on that row alone, with the same bits
     error_sq = np.square(diff, out=diff).sum(axis=1)
+    del diff  # the thresholds below reuse its memory
     if d is None:
         tau = None
         holds = error_sq < 0.5 * q * q
         if np.count_nonzero(holds):
-            kept = hard_threshold(est[holds], s) != 0
+            kept = _top_mask(est, holds, s)
             if np.count_nonzero(kept != true_mask):
                 raise RuntimeError("exact-support guarantee violated; threshold operator is broken")
     else:
@@ -109,7 +123,7 @@ def certify_rows(w_true, estimates, d=None):
         if np.count_nonzero(holds):
             holds &= (est != 0).sum(axis=1) >= d
         if np.count_nonzero(holds):
-            kept = hard_threshold(est[holds], d) != 0
+            kept = _top_mask(est, holds, d)
             if not kept[:, true_mask].all():
                 raise RuntimeError("superset-support guarantee violated; threshold operator is broken")
     return RowCertificates(q, s, tau, error_sq, holds)

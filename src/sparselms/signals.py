@@ -153,6 +153,21 @@ def gen_ident_stream(sc: IdentScenario) -> MeasurementStream:
     Draw order from the seed: support positions, tap signs (when
     enabled), input samples, noise samples.
     """
+    windows, outputs, w = _ident_draw(sc)
+    return MeasurementStream(np.ascontiguousarray(windows), outputs, w)
+
+
+WINDOW_ROWS = 64
+
+
+def _ident_draw(sc: IdentScenario):
+    """:func:`gen_ident_stream`'s draw, with the windows as a strided (L, N) view.
+
+    The clean output is the product of contiguous copies of ``WINDOW_ROWS``
+    window rows at a time with the taps, which has the whole matrix's bits.
+    A one-row tail joins the chunk before it: NumPy takes a one-row product
+    as a dot instead of a matrix-vector product, whose bits can differ.
+    """
     rng = np.random.default_rng(sc.seed)
     w = np.zeros(sc.n_taps)
     positions = rng.choice(sc.n_taps, size=sc.n_nonzero, replace=False)
@@ -164,8 +179,14 @@ def gen_ident_stream(sc: IdentScenario) -> MeasurementStream:
     u = rng.standard_normal(sc.signal_len)
     padded = np.concatenate([np.zeros(sc.n_taps - 1), u])
     windows = np.lib.stride_tricks.sliding_window_view(padded, sc.n_taps)[:, ::-1]
-    inputs = np.ascontiguousarray(windows)
-    clean = inputs @ w
+    clean = np.empty(sc.signal_len)
+    bounds = [*range(0, sc.signal_len, WINDOW_ROWS), sc.signal_len]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    rows = np.empty((min(sc.signal_len, WINDOW_ROWS + 1), sc.n_taps))
+    for i, j in zip(bounds, bounds[1:]):
+        np.copyto(rows[: j - i], windows[i:j])
+        np.matmul(rows[: j - i], w, out=clean[i:j])
 
     if np.isinf(sc.snr_db):
         outputs = clean
@@ -176,7 +197,7 @@ def gen_ident_stream(sc: IdentScenario) -> MeasurementStream:
         power = float(np.sum(w * w * weights))
         noise_var = power / 10.0 ** (sc.snr_db / 10.0)
         outputs = clean + np.sqrt(noise_var) * rng.standard_normal(sc.signal_len)
-    return MeasurementStream(inputs, outputs, w)
+    return windows, outputs, w
 
 
 def _tone_bins(sc: SpectrumScenario, rng):
@@ -240,7 +261,12 @@ def step_size_from_stream(stream):
     this by construction.
     """
     inputs = np.asarray(stream.inputs)
-    norms = np.sum(np.abs(inputs) ** 2, axis=1)
+    # summed a chunk of rows at a time, without whole-stream temporaries;
+    # each row's sum has the same bits as in one sum over all rows
+    rows = max(1, 2**15 // max(1, inputs.shape[1]))
+    norms = np.concatenate(
+        [np.sum(np.abs(inputs[i : i + rows]) ** 2, axis=1) for i in range(0, len(inputs), rows)]
+    )
     first = norms[0]
     if first <= 0:
         raise ValueError("first input row has zero norm")

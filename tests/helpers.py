@@ -1,6 +1,7 @@
 """Shared test utilities: oracles and Monte Carlo drivers."""
 
 import math
+import tracemalloc
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +10,22 @@ import numpy as np
 
 from sparselms import FilterConfig, MeasurementStream, run_stream
 from sparselms.signals import _tone_bins
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: the tracemalloc peak of the call above what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 def exhaustive_top_energy(v, s):
@@ -98,6 +115,40 @@ def whole_matrix_spectrum_stream(sc, passes=1):
     inputs = np.tile(rows, (passes, 1))
     outputs = np.tile(samples, passes)
     return MeasurementStream(inputs, outputs, truth)
+
+
+def whole_matrix_ident_stream(sc):
+    """Reference identification stream built through the whole window matrix.
+
+    The package's former ``gen_ident_stream``, kept verbatim: the
+    contiguous ``(signal_len, n_taps)`` window matrix and one matrix-vector
+    product over it.  The package computes the clean output over chunks
+    of window rows and must match this bit for bit.
+    """
+    rng = np.random.default_rng(sc.seed)
+    w = np.zeros(sc.n_taps)
+    positions = rng.choice(sc.n_taps, size=sc.n_nonzero, replace=False)
+    if sc.random_signs:
+        w[positions] = sc.tap_value * rng.choice([-1.0, 1.0], size=sc.n_nonzero)
+    else:
+        w[positions] = sc.tap_value
+
+    u = rng.standard_normal(sc.signal_len)
+    padded = np.concatenate([np.zeros(sc.n_taps - 1), u])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, sc.n_taps)[:, ::-1]
+    inputs = np.ascontiguousarray(windows)
+    clean = inputs @ w
+
+    if np.isinf(sc.snr_db):
+        outputs = clean
+    else:
+        # E[clean(n)^2] = sum_{k <= n} w_k^2 for unit-variance white input
+        lags = np.arange(sc.n_taps)
+        weights = np.clip(sc.signal_len - lags, 0, None) / sc.signal_len
+        power = float(np.sum(w * w * weights))
+        noise_var = power / 10.0 ** (sc.snr_db / 10.0)
+        outputs = clean + np.sqrt(noise_var) * rng.standard_normal(sc.signal_len)
+    return MeasurementStream(inputs, outputs, w)
 
 
 def sza_ensemble(

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from sparselms import (
     FilterConfig,
     FilterState,
     MeasurementStream,
+    SpectrumScenario,
     complex_hard_lms_step,
     complex_lms_step,
+    gen_spectrum_stream,
     run_stream,
     step,
     step_size_from_stream,
@@ -146,6 +149,17 @@ class TestStepSizeFromStream:
         rows = np.zeros((2, 3), dtype=complex)
         with pytest.raises(ValueError, match="zero norm"):
             step_size_from_stream(make_stream(rows, np.zeros(2, dtype=complex)))
+
+    def test_default_spectrum_stream_by_chunks(self):
+        stream = gen_spectrum_stream(SpectrumScenario())
+        mu, peak = traced_peak(step_size_from_stream, stream)
+        assert mu == 1.0 / float(np.sum(np.abs(stream.inputs) ** 2, axis=1)[0])
+        # |x|^2 of the whole stream took two temporaries of half its size
+        assert peak < 0.25 * stream.inputs.nbytes
+        rows = stream.inputs.copy()
+        rows[-1] *= 1.0 + 1e-6  # in the last chunk of rows
+        with pytest.raises(ValueError, match="norms vary"):
+            step_size_from_stream(make_stream(rows, stream.outputs))
 
 
 class TestRunComplexStream:

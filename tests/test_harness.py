@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_peak
+
 from sparselms import (
     Algorithm,
     ExperimentConfig,
@@ -170,7 +172,8 @@ class TestWorkerCount:
         def no_draw(*args, **kwargs):
             raise AssertionError("a stream was drawn before the worker count was checked")
 
-        monkeypatch.setattr(harness, "gen_ident_stream", no_draw)
+        # the draws the runners really call
+        monkeypatch.setattr(harness, "_ident_draw", no_draw)
         monkeypatch.setattr(harness, "gen_spectrum_stream", no_draw)
         with pytest.raises(ValueError, match="max_workers"):
             run_ident_experiment(small_ident_config(), max_workers=workers)
@@ -605,6 +608,40 @@ class TestRowWiseDiagnostics:
 
     def test_no_snapshots(self):
         assert diagnose_run(np.array([1.0, 0.0, 0.0]), []) == []
+
+    @staticmethod
+    def _trajectory(n_rows):
+        """A 64-tap truth and dense estimates whose errors sweep across both theorem bounds."""
+        rng = np.random.default_rng(3)
+        w = np.zeros(64)
+        w[rng.choice(64, 6, replace=False)] = rng.choice([-1.0, 1.0], 6)
+        noise = rng.standard_normal((n_rows, 64))
+        noise *= np.linspace(0.0, 1.5, n_rows)[:, None] / np.linalg.norm(noise, axis=1, keepdims=True)
+        return w, w + noise
+
+    def test_tall_stack_equals_single_snapshots(self):
+        # more rows than VERIFY_ROWS, so every threshold runs in slices
+        w, stack = self._trajectory(3 * recovery.VERIFY_ROWS + 5)
+        snapshots = list(enumerate(stack, 1))
+        records = diagnose_run(w, snapshots)
+        assert records == [diagnose_run(w, [pair])[0] for pair in snapshots]
+        for key in ("theorem1_holds", "theorem2_holds"):
+            assert {r[key] for r in records} == {True, False}, key
+
+    def test_top_mask_in_slices(self):
+        _, stack = self._trajectory(3 * recovery.VERIFY_ROWS + 5)
+        rows = np.random.default_rng(1).random(len(stack)) < 0.7
+        want = hard_threshold(stack[rows], 6) != 0
+        assert np.array_equal(recovery._top_mask(stack, rows, 6), want)
+
+    def test_diagnosis_holds_one_stack_sized_temporary(self):
+        # 256 snapshots of 256 taps, as run 0's chunks at --snapshot-every 1;
+        # stacking the snapshots and thresholding whole stacks peaked at ~4.4x
+        w, stack = self._trajectory(256)
+        w, stack = np.tile(w, 4), np.tile(stack, 4)
+        records, peak = traced_peak(harness._diagnose_stack, w, range(1, 257), stack, None)
+        assert len(records) == 256
+        assert peak < 1.5 * stack.nbytes
 
     @staticmethod
     def _zeros(v, s):

@@ -7,6 +7,7 @@ from sparselms import (
     FilterConfig,
     FilterState,
     batch_iht,
+    diagnose_run,
     hard_threshold,
     ser_lower_bound,
     support,
@@ -15,7 +16,7 @@ from sparselms import (
     theorem2_condition,
 )
 from sparselms.filters import hard_lms_step
-from sparselms.recovery import GUARANTEE_EXACT, GUARANTEE_NONE, GUARANTEE_SUPERSET
+from sparselms.recovery import GUARANTEE_EXACT, GUARANTEE_NONE, GUARANTEE_SUPERSET, certify_rows
 
 
 class TestTheorem1:
@@ -49,6 +50,20 @@ class TestTheorem1:
         w_hat = np.array([1.0, np.sqrt(0.5)])
         cert = theorem1_condition(w, w_hat)
         assert not cert.condition_holds
+
+    def test_exact_boundary_never_certifies(self):
+        # error^2 == q^2/2 exactly, and H_1 keeps both tied entries here, so
+        # a certificate at equality would be violated and raise
+        w = np.array([1.0, 0.0])
+        w_hat = np.array([0.5, 0.5])
+        cert = theorem1_condition(w, w_hat)
+        assert cert.error_sq == 0.5 * cert.q**2
+        assert not cert.condition_holds
+        rows = certify_rows(w, np.stack([w_hat, w, w_hat]))
+        assert rows.holds.tolist() == [False, True, False]
+        records = diagnose_run(w, [(1, w_hat), (2, w_hat)])
+        assert [r["theorem1_holds"] for r in records] == [False, False]
+        assert [r["support_hit_rate"] for r in records] == [1.0, 1.0]
 
     def test_zero_true_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

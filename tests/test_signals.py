@@ -1,9 +1,9 @@
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import whole_matrix_spectrum_stream
+from helpers import traced_peak, whole_matrix_ident_stream, whole_matrix_spectrum_stream
 from sparselms import (
     IdentScenario,
     SpectrumScenario,
@@ -13,6 +13,8 @@ from sparselms import (
     gen_spectrum_stream,
     support,
 )
+from sparselms.harness import _ident_inputs
+from sparselms.signals import WINDOW_ROWS, _ident_draw
 
 
 class TestIdentScenario:
@@ -111,6 +113,72 @@ class TestGenIdentStream:
             devs.append(snr - 30.0)
             assert abs(devs[-1]) < 1.0
         assert abs(np.mean(devs)) < 0.5
+
+
+class TestNoiseCalibration:
+    def test_noise_variance_counts_the_warmup(self):
+        # With 256 taps and 300 samples the zero-padded warm-up windows cut
+        # the clean power to ~0.57x of sum w_k^2, and the noise is scaled to
+        # the reduced power sum_k w_k^2 (L-k)/L.  6,000 noise samples put the
+        # standard error of the measured variance at ~1.8%, so the 10% bound
+        # is ~5.5 sigma; calibrating to the full power would read ~1.74.
+        measured = expected = 0.0
+        for seed in range(20):
+            sc = IdentScenario(n_taps=256, n_nonzero=28, signal_len=300, snr_db=10.0, seed=seed)
+            stream = gen_ident_stream(sc)
+            noise = stream.outputs - stream.inputs @ stream.truth
+            weights = (sc.signal_len - np.arange(sc.n_taps)) / sc.signal_len
+            measured += float(np.sum(noise**2))
+            expected += sc.signal_len * float(np.sum(stream.truth**2 * weights)) / 10.0
+        assert abs(measured / expected - 1.0) < 0.1
+
+
+class TestChunkedIdentDraw:
+    """The clean output summed over window-row chunks keeps the whole-matrix bits."""
+
+    @pytest.mark.parametrize("n_taps", [1, 2, 7, 64, 255, 256, 257, 1000])
+    def test_matches_whole_matrix_stream(self, n_taps):
+        # 1 (mod 64) lengths end in a one-row tail, which joins the chunk before it
+        for signal_len in [1, 2, 3, 63, 64, 65, 66, 127, 128, 129, 200, 2000, 2001, 2049]:
+            for seed in range(3):
+                sc = IdentScenario(
+                    n_taps=n_taps, n_nonzero=1 + n_taps // 9, signal_len=signal_len,
+                    snr_db=np.inf, seed=seed, random_signs=True,
+                )
+                want = whole_matrix_ident_stream(sc)
+                windows, outputs, truth = _ident_draw(sc)
+                case = (n_taps, signal_len, seed)
+                assert outputs.tobytes() == want.outputs.tobytes(), case
+                assert truth.tobytes() == want.truth.tobytes(), case
+                assert windows[:, 0].tobytes() == want.inputs[:, 0].tobytes(), case
+                got = gen_ident_stream(sc)
+                assert got.inputs.flags.c_contiguous, case
+                for field in ("inputs", "outputs", "truth"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), (field, case)
+
+    @pytest.mark.parametrize("kw", [dict(), dict(signal_len=WINDOW_ROWS + 1, random_signs=True)])
+    def test_noisy_draw_matches(self, kw):
+        sc = IdentScenario(seed=4, **kw)
+        want = whole_matrix_ident_stream(sc)
+        got = gen_ident_stream(sc)
+        for field in ("inputs", "outputs", "truth"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_harness_inputs_match(self):
+        scenario = IdentScenario(n_taps=64, n_nonzero=5, signal_len=129)
+        inputs, outputs, truths = _ident_inputs(scenario, range(3, 6))
+        for r, seed in enumerate(range(3, 6)):
+            want = whole_matrix_ident_stream(replace(scenario, seed=seed))
+            padded = np.concatenate([np.zeros(63), want.inputs[:, 0]])
+            assert inputs[r].tobytes() == padded[::-1].tobytes()
+            assert outputs[:, r].tobytes() == want.outputs.tobytes()
+            assert truths[r].tobytes() == want.truth.tobytes()
+
+    def test_harness_never_builds_a_window_matrix(self):
+        # one (2000, 256) window matrix is 4.1 MB; six runs need ~0.55 MB without one
+        _, peak = traced_peak(_ident_inputs, IdentScenario(), range(6))
+        assert peak < 1_000_000
 
 
 class TestSpectrumScenario:
@@ -240,17 +308,7 @@ class TestChunkedSpectrumRows:
 
     def test_peak_memory_close_to_the_rows(self):
         # the whole-matrix draw peaked at ~2.1x the rows it returned
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            stream = gen_spectrum_stream(SpectrumScenario())
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        stream, peak = traced_peak(gen_spectrum_stream, SpectrumScenario())
         assert peak <= 1.5 * stream.inputs.nbytes
 
 
