@@ -5,10 +5,10 @@ Seven variants share the signature ``*_step(state, x, y, cfg) ->
 reweighted), a selective zero-attractor that spares the current top-``s``
 support, and three hard-threshold variants (immediate, warm-started and
 relaxed).  All seven are one update, a gradient step followed by an
-optional attractor and an optional projection; :func:`step_rows` applies
-it to an (algorithms, runs, taps) stack of estimates at once.  States are
-treated as immutable; each step returns a fresh estimate, so independent
-filters can run on concurrent workers.
+optional attractor and an optional projection.  States are treated as
+immutable; each step returns a fresh estimate.  :class:`StackStepper`
+applies the update to an (algorithms, runs, taps) stack of estimates at
+once, in place in two buffers.
 
 The inner product is ``w^H x`` (conjugation on the estimate) and the
 gradient step adds ``mu * conj(e) * x``; for real data both reduce to the
@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .signals import check_counts
-from .thresholding import hard_threshold, penalty_mask
+from .thresholding import _below_cut, _penalty, hard_threshold
 
 __all__ = [
     "Algorithm",
@@ -38,6 +38,7 @@ __all__ = [
     "complex_hard_lms_step",
     "step",
     "step_rows",
+    "StackStepper",
     "run_stream",
 ]
 
@@ -159,14 +160,26 @@ def _checked_error(w, x, y):
     return x, complex(err) if isinstance(err, (complex, np.complexfloating)) else float(err)
 
 
-# Variants with a zero attractor.  Their sign terms are defined for real
-# estimates only: NumPy 2.0 changed what np.sign returns for complex input.
-ATTRACTING = frozenset({Algorithm.ZA_LMS, Algorithm.RZA_LMS, Algorithm.SZA_LMS})
+def _reweighted_sign(w, cfg, out, mags=None, *_):
+    mags = np.abs(w, out=mags)
+    mags *= cfg.epsilon
+    mags += 1.0
+    return np.divide(np.sign(w, out=out), mags, out=out)
 
-# The field holding each hard-threshold variant's keep-count.  The per-step
-# dispatch looks variants up in these tables instead of comparing with
-# ``Algorithm.X``: on Python 3.11 each Enum member read costs ~0.18 us,
-# a few percent of a plain LMS update on 1000 taps.
+
+# Zero-attractor ``a(w)`` of each attracting variant, into ``out`` if given: uniform
+# sign (ZA), sign reweighted by ``1/(1 + epsilon*|w|)`` so established taps keep
+# most of their value (RZA), or the sign pattern outside the top-``s`` support
+# of the estimate *before* the gradient step (SZA).  Their sign terms are
+# defined for real estimates only: NumPy 2.0 changed np.sign for complex input.
+_ATTRACTORS = {
+    Algorithm.ZA_LMS: lambda w, cfg, out, *_: np.sign(w, out=out),
+    Algorithm.RZA_LMS: _reweighted_sign,
+    Algorithm.SZA_LMS: lambda w, cfg, out, *cut: _penalty(w, cfg.sparsity, out, *cut),
+}
+ATTRACTING = frozenset(_ATTRACTORS)
+
+# The field holding each hard-threshold variant's keep-count.
 _KEEP_FIELD = {
     Algorithm.HARD_LMS: "sparsity",
     Algorithm.HARD_INIT_LMS: "sparsity",
@@ -174,37 +187,15 @@ _KEEP_FIELD = {
 }
 
 
-def _attractor(w, cfg):
-    """Zero-attractor ``a(w)`` of the configured variant, or None.
-
-    Uniform sign (ZA), sign reweighted by ``1/(1 + epsilon*|w|)`` so
-    established taps keep most of their value (RZA), or the sign pattern
-    outside the top-``s`` support of the estimate *before* the gradient
-    step (SZA).  ``w`` is one estimate or a (runs, taps) array of them.
-    """
-    if cfg.algorithm not in ATTRACTING:
+def _tail(cfg):
+    """``(cfg, attractor, keep-count)`` finishing each update of ``cfg``, or None for plain LMS."""
+    attractor, field = _ATTRACTORS.get(cfg.algorithm), _KEEP_FIELD.get(cfg.algorithm)
+    if attractor is None and field is None:
         return None
-    if cfg.algorithm is Algorithm.ZA_LMS:
-        return np.sign(w)
-    if cfg.algorithm is Algorithm.RZA_LMS:
-        return np.sign(w) / (1.0 + cfg.epsilon * np.abs(w))
-    return penalty_mask(w, cfg.sparsity)
+    return cfg, attractor, None if field is None else getattr(cfg, field)
 
 
-def _keep_count(cfg, iteration):
-    """Entries the hard threshold keeps after update ``iteration``, or None.
-
-    Every hard-threshold variant skips the first ``warmup_steps`` updates;
-    the relaxed one then keeps ``relaxed_sparsity`` entries, the others
-    ``sparsity``.
-    """
-    field = _KEEP_FIELD.get(cfg.algorithm)
-    if field is None or iteration < cfg.warmup_steps:
-        return None
-    return getattr(cfg, field)
-
-
-def _gradient(w, err, x, mu):
+def _gradient(w, err, x, mu, out=None):
     """``w + mu*conj(err)*x``, row by row for a stacked ``w``.
 
     Evaluated as ``w + (mu * (conj(err) * x))``; the in-place forms below
@@ -212,27 +203,26 @@ def _gradient(w, err, x, mu):
     Python number or an array, whose ``conjugate`` returns a real operand
     itself; ``mu`` is a number or an array broadcasting over ``w``.
     """
-    new = err.conjugate() * x
+    new = np.multiply(err.conjugate(), x, out=out)
     new *= mu
     new += w
     return new
 
 
-def _project(new, w, cfg, iteration):
-    """Finish update ``iteration`` of ``cfg`` on ``new``, the gradient step from ``w``.
+def _finish(new, w, tail, iteration, scratch=None, *cut_buffers):
+    """Finish update ``iteration`` on ``new``, the gradient step from ``w``, in place.
 
-    Subtracts ``rho * a(w)`` for the zero-attracting variants, then applies
-    the hard threshold of the hard-threshold variants, both in place.
-    :func:`step` and every slice of :func:`step_rows` end here.  Returns
-    ``new``.
+    Subtracts ``rho * a(w)``, then hard-thresholds after the warm-up, as
+    ``tail`` (:func:`_tail`'s) says.  The buffers, if given, are scratch of
+    ``new``'s shape for the attractor and for :func:`_below_cut`.
     """
-    attractor = _attractor(w, cfg)
+    cfg, attractor, keep = tail
     if attractor is not None:
-        new -= cfg.rho * attractor
-    keep = _keep_count(cfg, iteration)
-    if keep is not None:
-        hard_threshold(new, keep, out=new)
-    return new
+        a = attractor(w, cfg, scratch, *cut_buffers)
+        a *= cfg.rho
+        new -= a
+    if keep is not None and iteration >= cfg.warmup_steps:
+        new[_below_cut(new, keep, *cut_buffers)] = 0
 
 
 def step(state, x, y, cfg):
@@ -245,7 +235,10 @@ def step(state, x, y, cfg):
     """
     w = state.estimate
     x, err = _checked_error(w, x, y)
-    new = _project(_gradient(w, err, x, cfg.mu), w, cfg, state.iteration)
+    new = _gradient(w, err, x, cfg.mu)
+    tail = _tail(cfg)
+    if tail is not None:
+        _finish(new, w, tail, state.iteration)
     return FilterState(new, state.iteration + 1), err
 
 
@@ -266,27 +259,59 @@ def complex_hard_lms_step(w, x, y, mu, s):
     return hard_threshold(new, s, out=new), err
 
 
-def step_rows(estimates, inputs, outputs, cfgs, iteration):
-    """Apply update ``iteration`` to an (algorithms, runs, taps) stack.
+class StackStepper:
+    """Updates an (algorithms, runs, taps) stack in place, one config per leading slice.
 
-    ``cfgs`` holds one config per leading slice; all read the same (runs,
-    taps) ``inputs`` and (runs,) ``outputs``.  Row ``r`` of slice ``i`` gets
-    :func:`step` under ``cfgs[i]`` bit for bit: the errors are 1xN by Nx1
-    ``matmul`` products, which use the BLAS dot of ``np.vdot``.  Errors and
-    gradient step cover the whole stack; only attractors and thresholds run
-    per algorithm.  Returns the new stack.
+    Prepared once from a copy of ``estimates``: two estimate buffers, which
+    :meth:`step` swaps, one scratch set and each slice's :func:`_tail`.
+    Row ``r`` of slice ``i`` gets :func:`step` under ``cfgs[i]`` bit for
+    bit: the errors are 1xN by Nx1 ``matmul`` products, as in ``np.vdot``.
     """
-    err = outputs - (estimates.conj()[..., None, :] @ inputs[:, :, None])[..., 0, 0]
-    # a shared step size stays a Python number: broadcasting an (algorithms,
-    # 1, 1) column costs a few us a step, 4% of the spectrum benchmark
-    mu = cfgs[0].mu
-    if any(cfg.mu != mu for cfg in cfgs):
-        mu = np.array([cfg.mu for cfg in cfgs])[:, None, None]
-    # inputs of the stack's rank: a (1, 1, 1) stack broadcast from (1, 1) rounds unlike step
-    new = _gradient(estimates, err[..., None], inputs[None], mu)
-    for i, cfg in enumerate(cfgs):
-        _project(new[i], estimates[i], cfg, iteration)
-    return new
+
+    def __init__(self, estimates, cfgs):
+        w = np.array(estimates)
+        conj = self._conj = np.empty_like(w) if np.iscomplexobj(w) else None
+        bufs = w, np.empty_like(w)
+        # each buffer, its slices and the left operand of its error products
+        self._pair = [(b, list(b), (b if conj is None else conj)[..., None, :]) for b in bufs]
+        err = np.empty((*w.shape[:2], 1, 1), w.dtype)
+        self._err = err, err[..., 0], err[..., 0, 0]
+        # a shared step size stays a Python number: an (algorithms, 1, 1)
+        # column costs a few us a step
+        mu = self._mu = cfgs[0].mu
+        if any(cfg.mu != mu for cfg in cfgs):
+            self._mu = np.array([cfg.mu for cfg in cfgs])[:, None, None]
+        self._tails = [(i, t) for i, t in enumerate(map(_tail, cfgs)) if t is not None]
+        # the attractor, magnitudes, sorted magnitudes and mask of one slice
+        mags = np.empty(w.shape[1:], w.real.dtype)
+        self._scratch = np.empty_like(w[0]), mags, np.empty_like(mags), np.empty(mags.shape, bool)
+
+    def step(self, inputs, outputs, iteration):
+        """Apply update ``iteration`` from the (runs, taps) ``inputs`` and (runs,) ``outputs``.
+
+        Returns the new stack, which the step after next overwrites.
+        """
+        (w, w_rows, lhs), (new, new_rows, _) = self._pair
+        products, err, err_row = self._err
+        if self._conj is not None:
+            np.conjugate(w, out=self._conj)
+        np.matmul(lhs, inputs[:, :, None], out=products)
+        np.subtract(outputs, err_row, out=err_row)
+        # inputs of the stack's rank: a (1, 1, 1) stack broadcast from (1, 1) rounds unlike step
+        _gradient(w, err, inputs[None], self._mu, out=new)
+        for i, tail in self._tails:
+            _finish(new_rows[i], w_rows[i], tail, iteration, *self._scratch)
+        self._pair.reverse()
+        return new
+
+
+def step_rows(estimates, inputs, outputs, cfgs, iteration):
+    """One :class:`StackStepper` update ``iteration`` of an (algorithms, runs, taps) stack.
+
+    Returns a new array; ``estimates`` is left as it was.
+    """
+    dtype = np.result_type(estimates, inputs, outputs)
+    return StackStepper(np.asarray(estimates, dtype), cfgs).step(inputs, outputs, iteration)
 
 
 def run_stream(cfg, stream):

@@ -4,11 +4,12 @@ Runs the two benchmark experiments (sparse identification and
 undersampled spectrum estimation) over seeded Monte Carlo repetitions and
 writes deterministic CSV/JSON artifacts.  Per-run seeds are always
 ``base_seed + run_index``.  Both experiments step (algorithms, runs,
-taps) stacks through ``filters.step_rows``: identification blocks of at
-most ``BLOCK_RUNS`` consecutive runs, and each spectrum run as one
-(algorithms, 1, full_len) stack.  Blocks and spectrum runs may execute
-on parallel workers and are aggregated in run-index order, so outputs
-are byte-identical for any worker count and block size.
+taps) stacks, each through one ``filters.StackStepper`` that updates it
+in place: identification blocks of at most ``BLOCK_RUNS`` consecutive
+runs, and each spectrum run as one (algorithms, 1, full_len) stack.
+Blocks and spectrum runs may execute on parallel workers and are
+aggregated in run-index order, so outputs are byte-identical for any
+worker count and block size.
 """
 
 import json
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import ATTRACTING, step_rows
+from .filters import ATTRACTING, StackStepper
 from .recovery import _top_mask, certify_rows
 from .signals import (
     IdentScenario,
@@ -183,8 +184,8 @@ def _ident_block(cfg, runs):
     n_steps, n_taps = outputs.shape[0], cfg.scenario.n_taps
     denom = np.sum(np.abs(truths) ** 2, axis=1)
     algorithms = cfg.algorithms
-    w = np.zeros((len(algorithms), stop - start, n_taps))
-    diff = np.empty_like(w)
+    stepper = StackStepper(np.zeros((len(algorithms), stop - start, n_taps)), algorithms)
+    diff = np.empty((len(algorithms), stop - start, n_taps))
     esr = np.empty((len(algorithms), stop - start, n_steps))
     diagnostics = {a.label: [] for a in algorithms} if start == 0 else None
     iterations = []
@@ -197,7 +198,7 @@ def _ident_block(cfg, runs):
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             lead = n_steps - 1 - n
-            w = step_rows(w, inputs[:, lead : lead + n_taps], outputs[n], algorithms, n)
+            w = stepper.step(inputs[:, lead : lead + n_taps], outputs[n], n)
             # summed row by row like signals.esr, with the same bits
             np.subtract(w, truths, out=diff)
             np.square(diff, out=diff).sum(axis=-1, out=esr[:, :, n])
@@ -310,12 +311,11 @@ def _spectrum_run(cfg, run_index):
     mu = step_size_from_stream(stream)
     # no thresholding during the first pass over the samples
     algorithms = [replace(a, mu=mu, warmup_steps=sc.n_samples) for a in cfg.algorithms]
-    # every filter reads the same (1, full_len) input row at each step
-    rows = list(zip(stream.inputs[:, None, :], stream.outputs[:, None]))
-    w = np.zeros((len(algorithms), 1, sc.full_len), complex)
-    for p in range(cfg.passes):
-        for t, (x, y) in enumerate(rows):
-            w = step_rows(w, x, y, algorithms, p * sc.n_samples + t)
+    stepper = StackStepper(np.zeros((len(algorithms), 1, sc.full_len), complex), algorithms)
+    for n in range(cfg.passes * sc.n_samples):
+        # every filter reads the same (1, full_len) input row
+        t = n % sc.n_samples
+        w = stepper.step(stream.inputs[t : t + 1], stream.outputs[t : t + 1], n)
     return stream.truth, {a.label: est[0] for a, est in zip(algorithms, w)}
 
 
@@ -324,8 +324,8 @@ def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
 
     The step size is 1/||x||^2 of each run's own input rows; hard-threshold
     variants skip thresholding during the first pass.  A run's filters
-    step together through :func:`~sparselms.filters.step_rows` as one
-    (algorithms, 1, full_len) stack sharing each input row.  Each filter is
+    step together through one :class:`~sparselms.filters.StackStepper` as
+    one (algorithms, 1, full_len) stack sharing each input row.  Each filter is
     scored by where its final estimate puts the top-s bins, s being the
     true spectrum's support size.  The zero-attracting variants are
     rejected: their sign attractors are real-only.

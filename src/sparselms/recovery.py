@@ -92,10 +92,12 @@ def certify_rows(w_true, estimates, d=None):
     support contains the true support.  The promised relation is verified
     on every row where the hypothesis holds, with row-wise thresholds of
     ``VERIFY_ROWS`` rows at a time; a violation raises RuntimeError, which
-    cannot happen unless the threshold operator is broken.
+    cannot happen unless the threshold operator is broken.  Complex rows
+    are ranked by magnitude and their error is ``sum |w - w_hat|^2``, for
+    which both theorems hold verbatim.
     """
-    w = np.asarray(w_true, dtype=float)
-    est = np.asarray(estimates, dtype=float)
+    dtype = np.result_type(np.asarray(w_true), np.asarray(estimates), float)
+    w, est = np.asarray(w_true, dtype), np.asarray(estimates, dtype)
     if w.ndim != 1 or est.ndim != 2 or est.shape[1:] != w.shape:
         raise ValueError(f"shape mismatch: {w.shape} vs {est.shape}")
     n = w.shape[0]
@@ -104,8 +106,10 @@ def certify_rows(w_true, estimates, d=None):
     if s == 0:
         raise ValueError("true vector must have at least one nonzero entry")
     q = float(np.abs(w[true_mask]).min())
+    # |w - est|^2 summed row by row like signals.esr on that row alone, with
+    # the same bits; real rows in place
     diff = w - est
-    # each row is summed like np.sum on that row alone, with the same bits
+    diff = np.abs(diff, out=None if np.iscomplexobj(diff) else diff)
     error_sq = np.square(diff, out=diff).sum(axis=1)
     del diff  # the thresholds below reuse its memory
     if d is None:
@@ -130,7 +134,7 @@ def certify_rows(w_true, estimates, d=None):
 
 
 def _certify_one(w_true, w_hat, d):
-    c = certify_rows(w_true, np.asarray(w_hat, dtype=float)[None], d)
+    c = certify_rows(w_true, np.asarray(w_hat)[None], d)
     holds = bool(c.holds[0])
     guarantee = GUARANTEE_EXACT if d is None else GUARANTEE_SUPERSET
     return RecoveryCertificate(

@@ -103,6 +103,8 @@ class IdentScenario:
             raise ValueError(f"signal_len must be >= 1, got {self.signal_len}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.tap_value) and self.tap_value != 0):
+            raise ValueError(f"tap_value must be finite and nonzero, got {self.tap_value}")
         # +inf means noiseless; NaN and -inf give no usable noise level
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")

@@ -63,11 +63,33 @@ def hard_threshold(v, s, out=None):
         out[...] = v
     if s == n:
         return out
-    mags = np.abs(v)
-    # the slice keeps the last axis, so each row's cut broadcasts over its row
-    cut = np.sort(mags, axis=-1)[..., n - s : n - s + 1]
-    out[mags < cut] = 0
+    out[_below_cut(v, s)] = 0
     return out
+
+
+def _below_cut(v, s, mags=None, srt=None, mask=None):
+    """Mask of the entries of ``v`` below the ``s``-th largest magnitude of their row.
+
+    The one cut of every threshold and penalty; the buffers, of ``v``'s
+    shape, take the magnitudes, their sorted copy and the mask.
+    """
+    n = v.shape[-1]
+    mags = np.abs(v, out=mags)
+    if srt is None:
+        srt = np.sort(mags, axis=-1)
+    else:
+        srt[...] = mags
+        srt.sort(axis=-1)
+    # the slice keeps the last axis, so each row's cut broadcasts over its row
+    return np.less(mags, srt[..., n - s : n - s + 1], out=mask)
+
+
+def _penalty(v, s, out=None, *cut_buffers):
+    """:func:`penalty_mask` of ``v``, written to ``out`` if given."""
+    if out is None:
+        out = np.empty_like(v)
+    out[...] = 0
+    return np.sign(v, where=_below_cut(v, s, *cut_buffers), out=out)
 
 
 def penalty_mask(v, s):
@@ -87,7 +109,4 @@ def penalty_mask(v, s):
     n = v.shape[-1]
     if not 1 <= s < n:
         raise ValueError(f"s must satisfy 1 <= s < {n}, got {s}")
-    kept = hard_threshold(v, s)
-    out = np.sign(v)
-    out[kept != 0] = 0
-    return out
+    return _penalty(v, s)

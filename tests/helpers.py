@@ -80,6 +80,24 @@ def partition_hard_threshold(v, s, out=None):
     return out
 
 
+def former_penalty_mask(v, s):
+    """Reference penalty mask that zeroes the signs of a thresholded copy.
+
+    The package's former ``penalty_mask``, kept verbatim but for its
+    threshold, which is :func:`partition_hard_threshold`.  The package now
+    takes the signs below one cut, ``np.sign(v, where=mags < cut,
+    out=zeros)``, and must match this bit for bit.
+    """
+    v = np.asarray(v)
+    n = v.shape[-1]
+    if not 1 <= s < n:
+        raise ValueError(f"s must satisfy 1 <= s < {n}, got {s}")
+    kept = partition_hard_threshold(v, s)
+    out = np.sign(v)
+    out[kept != 0] = 0
+    return out
+
+
 def whole_matrix_spectrum_stream(sc, passes=1):
     """Reference spectrum stream built through whole-matrix temporaries.
 

@@ -66,6 +66,15 @@ class TestIdentCommand:
         assert code == 1
         assert "mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_unusable_tap_value_fails_before_any_draw(self, tmp_path, capsys, value):
+        code = run_cli(["ident", "--tap-value", value, "--runs", "1", "--out", str(tmp_path)])
+        assert code == 1
+        # the one line names the field: no RuntimeWarning from a draw, no divergence report
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: tap_value must be finite and nonzero")
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_diverging_filter_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "res"
         code = run_cli(["ident", "--runs", "1", "--mu", "0.5", "--algorithms", "lms",

@@ -20,7 +20,7 @@ from sparselms import (
     sza_lms_step,
     za_lms_step,
 )
-from sparselms.filters import step_rows
+from sparselms.filters import StackStepper, step_rows
 
 
 def cfg_for(alg, n_taps=4, mu=0.1, **kw):
@@ -425,6 +425,71 @@ class TestStepRows:
         rows = step_rows(w[None], x, np.array([5.0]), [cfg], 0)[0]
         state, _ = step(FilterState(w[0].copy(), 0), x[0], 5.0, cfg)
         assert np.array_equal(rows[0], state.estimate)
+
+
+class TestStackStepper:
+    """The prepared in-place stepper against chained scalar steps."""
+
+    HARD = (Algorithm.HARD_LMS, Algorithm.HARD_INIT_LMS, Algorithm.HARD_REL_LMS)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dtype=st.sampled_from([float, complex]),
+        n_taps=st.integers(4, 24),
+        runs=st.integers(1, 3),
+        shared_mu=st.booleans(),
+        data=st.data(),
+    )
+    def test_every_step_is_chained_scalar_steps(self, dtype, n_taps, runs, shared_mu, data):
+        n_steps = 120
+        order = data.draw(st.permutations(list(Algorithm)))
+        # the hard variants' warm-ups end mid-run on consecutive updates,
+        # so each of the two swapped buffers is written across a boundary
+        warmup = data.draw(st.integers(1, n_steps - 3))
+        mu = data.draw(st.floats(0.05, 0.5)) / n_taps
+        cfgs = []
+        for k, alg in enumerate(order):
+            s = data.draw(st.integers(1, n_taps - 2))
+            cfgs.append(FilterConfig(
+                alg,
+                n_taps=n_taps,
+                mu=mu if shared_mu else mu * (1 + k / 8),  # mixed: a (algorithms, 1, 1) column
+                rho=data.draw(st.floats(0.0, 1e-2)),
+                epsilon=data.draw(st.floats(0.1, 20.0)),
+                sparsity=s,
+                relaxed_sparsity=data.draw(st.integers(s, n_taps - 1)),
+                warmup_steps=warmup + self.HARD.index(alg) if alg in self.HARD else 0,
+            ))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def draw(*shape):
+            out = rng.standard_normal(shape)
+            return out + 1j * rng.standard_normal(shape) if dtype is complex else out
+
+        truth = draw(runs, n_taps) * (rng.random((runs, n_taps)) < 0.3)
+        x = draw(n_steps, runs, n_taps)
+        y = np.einsum("rj,nrj->nr", truth.conj(), x) + 0.01 * draw(n_steps, runs)
+        stepper = StackStepper(np.zeros((len(cfgs), runs, n_taps), dtype), cfgs)
+        states = [[FilterState.initial(n_taps, dtype) for _ in range(runs)] for _ in cfgs]
+        outputs = set()
+        for n in range(n_steps):
+            stack = stepper.step(x[n], y[n], n)
+            outputs.add(stack.__array_interface__["data"][0])
+            assert stack.dtype == np.dtype(dtype)
+            for i, cfg in enumerate(cfgs):
+                for r in range(runs):
+                    states[i][r], _ = step(states[i][r], x[n, r], y[n, r], cfg)
+                    assert np.array_equal(stack[i, r], states[i][r].estimate), (n, cfg.algorithm)
+        assert len(outputs) == 2
+
+    def test_step_rows_returns_a_new_array(self):
+        cfgs = [cfg_for(a.value, n_taps=6, rho=1e-3) for a in Algorithm]
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal((len(cfgs), 2, 6))
+        before = w.copy()
+        stack = step_rows(w, rng.standard_normal((2, 6)), rng.standard_normal(2), cfgs, 3)
+        assert not np.shares_memory(stack, w)
+        assert np.array_equal(w, before)
 
 
 class TestRunStream:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,26 @@ class TestTheorem1:
         records = diagnose_run(w, [(1, w_hat), (2, w_hat)])
         assert [r["theorem1_holds"] for r in records] == [False, False]
         assert [r["support_hit_rate"] for r in records] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("w_hat,holds", [
+        ([1 - 0.5j, 0, 0, 0.1], False),  # real parts alone would certify
+        ([0.9 + 0.9j, 0, 0, 0.1], True),
+    ])
+    def test_complex_estimates_use_magnitudes(self, w_hat, holds):
+        w = np.array([1 + 1j, 0, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = theorem1_condition(w, w_hat)
+        assert cert.condition_holds is holds
+        assert cert.q == abs(1 + 1j)
+        assert cert.error_sq == np.sum(np.abs(w - np.array(w_hat)) ** 2)
+
+    def test_imaginary_support_is_certified(self):
+        # the true support is purely imaginary: cast to real it would be empty
+        cert = theorem1_condition([1j, 0, 0, 0], [0.9j, 0, 0, 0.05])
+        assert cert.condition_holds and cert.guarantee == GUARANTEE_EXACT
+        rows = certify_rows([1j, 0, 0, 0], [[0.9j, 0, 0, 0.05], [0.1j, 0, 0, 0.9]])
+        assert rows.holds.tolist() == [True, False]
 
     def test_zero_true_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -52,6 +52,11 @@ class TestIdentScenario:
         with pytest.raises(ValueError, match="snr_db"):
             IdentScenario(snr_db=snr_db)
 
+    @pytest.mark.parametrize("tap_value", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_unusable_tap_value_names_the_field(self, tap_value):
+        with pytest.raises(ValueError, match="tap_value must be finite and nonzero"):
+            IdentScenario(tap_value=tap_value)
+
     def test_infinite_snr_means_noiseless(self):
         sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=20, snr_db=np.inf)
         stream = gen_ident_stream(sc)

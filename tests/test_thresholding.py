@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import exhaustive_top_energy, partition_hard_threshold
+from helpers import exhaustive_top_energy, former_penalty_mask, partition_hard_threshold
 from sparselms import hard_threshold, penalty_mask, support
 
 
@@ -222,7 +222,11 @@ class TestNaNRule:
 
 
 class TestPartitionOracle:
-    """The sorted cut keeps every bit of the former ``np.partition`` cut."""
+    """The cuts keep every bit of the former implementations.
+
+    The sorted cut matches the ``np.partition`` cut, and the one-cut penalty
+    the penalty that zeroed the signs of a thresholded copy.
+    """
 
     # signed zeros, infinities, NaN, subnormals and a few values that tie
     SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.5e-308,
@@ -234,9 +238,7 @@ class TestPartitionOracle:
             expected = partition_hard_threshold(v, s)
             assert hard_threshold(v, s).tobytes() == expected.tobytes()
             if s < v.shape[-1]:
-                penalty = np.sign(v)
-                penalty[expected != 0] = 0
-                assert penalty_mask(v, s).tobytes() == penalty.tobytes()
+                assert penalty_mask(v, s).tobytes() == former_penalty_mask(v, s).tobytes()
 
     @staticmethod
     @st.composite
