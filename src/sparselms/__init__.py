@@ -6,13 +6,8 @@ from .filters import (
     FilterState,
     complex_hard_lms_step,
     complex_lms_step,
-    hard_lms_step,
-    lms_step,
     run_stream,
-    rza_lms_step,
     step,
-    sza_lms_step,
-    za_lms_step,
 )
 from .harness import (
     ExperimentConfig,

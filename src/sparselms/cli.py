@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .filters import ATTRACTING, Algorithm, FilterConfig
+from .filters import PARAMETERS, FilterConfig
 from .harness import (
     SNAPSHOT_EVERY,
     ExperimentConfig,
@@ -21,7 +21,7 @@ from .harness import (
 )
 from .signals import IdentScenario, SpectrumScenario
 
-IDENT_ALGORITHMS = [a.value for a in Algorithm]
+IDENT_ALGORITHMS = list(PARAMETERS)
 
 
 def build_parser():
@@ -112,25 +112,14 @@ def _ident_experiment(args):
         seed=args.seed,
     )
     names = [n.strip() for n in str(args.algorithms).split(",") if n.strip()]
+    # each variant gets only the parameters it is configured with
+    values = dict(vars(args), warmup_steps=args.warmup)
     algorithms = []
     for name in names:
-        if name not in IDENT_ALGORITHMS:
+        if name not in PARAMETERS:
             raise ValueError(f"--algorithms: unknown algorithm {name!r}")
-        # attach only the parameters each variant actually consumes
-        kw = {}
-        if Algorithm(name) in ATTRACTING:
-            kw["rho"] = args.rho
-        if name == "rza_lms":
-            kw["epsilon"] = args.epsilon
-        if name in ("sza_lms", "hard_lms", "hard_init_lms", "hard_rel_lms"):
-            kw["sparsity"] = args.sparsity
-        if name == "hard_rel_lms":
-            kw["relaxed_sparsity"] = args.relaxed_sparsity
-        if name == "hard_init_lms":
-            kw["warmup_steps"] = args.warmup
-        algorithms.append(
-            FilterConfig(algorithm=Algorithm(name), n_taps=args.taps, mu=args.mu, **kw)
-        )
+        params = {field: values[field] for field in PARAMETERS[name]}
+        algorithms.append(FilterConfig(name, args.taps, args.mu, **params))
     return ExperimentConfig(
         scenario=scenario,
         algorithms=algorithms,
@@ -148,14 +137,11 @@ def _spectrum_experiment(args):
         snr_db=args.snr_db,
         seed=args.seed,
     )
+    # the paper's comparison: plain and hard-threshold LMS
     algorithms = [
-        FilterConfig(algorithm=Algorithm.LMS, n_taps=args.full_len, mu=1.0, label="complex_lms"),
+        FilterConfig("lms", args.full_len, 1.0, label="complex_lms"),
         FilterConfig(
-            algorithm=Algorithm.HARD_LMS,
-            n_taps=args.full_len,
-            mu=1.0,
-            sparsity=args.sparsity,
-            label="complex_hard_lms",
+            "hard_lms", args.full_len, 1.0, sparsity=args.sparsity, label="complex_hard_lms"
         ),
     ]
     return ExperimentConfig(

@@ -1,14 +1,14 @@
 """LMS family with a uniform step interface, for real and complex data.
 
-Seven variants share the signature ``*_step(state, x, y, cfg) ->
-(new_state, error)``: plain LMS, the zero-attracting pair (uniform and
-reweighted), a selective zero-attractor that spares the current top-``s``
-support, and three hard-threshold variants (immediate, warm-started and
-relaxed).  All seven are one update, a gradient step followed by an
-optional attractor and an optional projection.  States are treated as
-immutable; each step returns a fresh estimate.  :class:`StackStepper`
-applies the update to an (algorithms, runs, taps) stack of estimates at
-once, in place in two buffers.
+Seven variants, stepped by one ``step(state, x, y, cfg) -> (new_state,
+error)``: plain LMS, the zero-attracting pair (uniform and reweighted), a
+selective zero-attractor that spares the current top-``s`` support, and
+three hard-threshold variants (immediate, warm-started and relaxed).  All
+seven are one update, a gradient step followed by an optional attractor
+and an optional projection, which one table (``_VARIANTS``) assigns per
+variant.  States are treated as immutable; each step returns a fresh
+estimate.  :class:`StackStepper` applies the update to an (algorithms,
+runs, taps) stack of estimates at once, in place in two buffers.
 
 The inner product is ``w^H x`` (conjugation on the estimate) and the
 gradient step adds ``mu * conj(e) * x``; for real data both reduce to the
@@ -29,15 +29,9 @@ __all__ = [
     "Algorithm",
     "FilterConfig",
     "FilterState",
-    "lms_step",
-    "za_lms_step",
-    "rza_lms_step",
-    "sza_lms_step",
-    "hard_lms_step",
     "complex_lms_step",
     "complex_hard_lms_step",
     "step",
-    "step_rows",
     "StackStepper",
     "run_stream",
 ]
@@ -53,19 +47,13 @@ class Algorithm(str, Enum):
     HARD_REL_LMS = "hard_rel_lms"
 
 
-_NEEDS_SPARSITY = {
-    Algorithm.SZA_LMS,
-    Algorithm.HARD_LMS,
-    Algorithm.HARD_INIT_LMS,
-}
-
-
 @dataclass
 class FilterConfig:
     """Algorithm selection plus every tuning constant the variants use.
 
     Fields irrelevant to the chosen algorithm are ignored by the step
-    functions but still validated when set.
+    functions but still validated when set.  Each variant requires the
+    fields ``_VARIANTS`` configures it with whose default is None.
 
     Parameters
     ----------
@@ -126,10 +114,10 @@ class FilterConfig:
                     "relaxed_sparsity must satisfy "
                     f"sparsity <= relaxed_sparsity < n_taps, got {self.relaxed_sparsity}"
                 )
-        if self.algorithm in _NEEDS_SPARSITY and self.sparsity is None:
-            raise ValueError(f"sparsity is required for {self.algorithm.value}")
-        if self.algorithm is Algorithm.HARD_REL_LMS and self.relaxed_sparsity is None:
-            raise ValueError("relaxed_sparsity is required for hard_rel_lms")
+        # only the fields whose default is None can still be None here
+        for name in PARAMETERS[self.algorithm.value]:
+            if getattr(self, name) is None:
+                raise ValueError(f"{name} is required for {self.algorithm.value}")
         if not self.label:
             self.label = self.algorithm.value
 
@@ -167,29 +155,31 @@ def _reweighted_sign(w, cfg, out, mags=None, *_):
     return np.divide(np.sign(w, out=out), mags, out=out)
 
 
-# Zero-attractor ``a(w)`` of each attracting variant, into ``out`` if given: uniform
-# sign (ZA), sign reweighted by ``1/(1 + epsilon*|w|)`` so established taps keep
-# most of their value (RZA), or the sign pattern outside the top-``s`` support
-# of the estimate *before* the gradient step (SZA).  Their sign terms are
-# defined for real estimates only: NumPy 2.0 changed np.sign for complex input.
-_ATTRACTORS = {
-    Algorithm.ZA_LMS: lambda w, cfg, out, *_: np.sign(w, out=out),
-    Algorithm.RZA_LMS: _reweighted_sign,
-    Algorithm.SZA_LMS: lambda w, cfg, out, *cut: _penalty(w, cfg.sparsity, out, *cut),
+# Per variant: its zero-attractor ``a(w)``, written to ``out`` if given; the
+# field holding its hard-threshold keep-count; and the fields it is configured
+# with besides n_taps and mu.  The attractors are the uniform sign (ZA), the
+# sign reweighted by ``1/(1 + epsilon*|w|)`` so established taps keep most of
+# their value (RZA), and the sign pattern outside the top-``s`` support of the
+# estimate *before* the gradient step (SZA).  Their sign terms are defined for
+# real estimates only: NumPy 2.0 changed np.sign for complex input.
+_VARIANTS = {
+    Algorithm.LMS: (None, None, ()),
+    Algorithm.ZA_LMS: (lambda w, cfg, out, *_: np.sign(w, out=out), None, ("rho",)),
+    Algorithm.RZA_LMS: (_reweighted_sign, None, ("rho", "epsilon")),
+    Algorithm.SZA_LMS: (lambda w, cfg, out, *cut: _penalty(w, cfg.sparsity, out, *cut),
+                        None, ("rho", "sparsity")),
+    Algorithm.HARD_LMS: (None, "sparsity", ("sparsity",)),
+    Algorithm.HARD_INIT_LMS: (None, "sparsity", ("sparsity", "warmup_steps")),
+    Algorithm.HARD_REL_LMS: (None, "relaxed_sparsity", ("sparsity", "relaxed_sparsity")),
 }
-ATTRACTING = frozenset(_ATTRACTORS)
-
-# The field holding each hard-threshold variant's keep-count.
-_KEEP_FIELD = {
-    Algorithm.HARD_LMS: "sparsity",
-    Algorithm.HARD_INIT_LMS: "sparsity",
-    Algorithm.HARD_REL_LMS: "relaxed_sparsity",
-}
+ATTRACTING = frozenset(a for a, (attractor, *_) in _VARIANTS.items() if attractor is not None)
+# each variant's configured fields, by algorithm name
+PARAMETERS = {a.value: fields for a, (*_, fields) in _VARIANTS.items()}
 
 
 def _tail(cfg):
     """``(cfg, attractor, keep-count)`` finishing each update of ``cfg``, or None for plain LMS."""
-    attractor, field = _ATTRACTORS.get(cfg.algorithm), _KEEP_FIELD.get(cfg.algorithm)
+    attractor, field, _ = _VARIANTS[cfg.algorithm]
     if attractor is None and field is None:
         return None
     return cfg, attractor, None if field is None else getattr(cfg, field)
@@ -240,10 +230,6 @@ def step(state, x, y, cfg):
     if tail is not None:
         _finish(new, w, tail, state.iteration)
     return FilterState(new, state.iteration + 1), err
-
-
-# One update serves every variant; ``cfg.algorithm`` selects the terms.
-lms_step = za_lms_step = rza_lms_step = sza_lms_step = hard_lms_step = step
 
 
 def complex_lms_step(w, x, y, mu):
@@ -303,15 +289,6 @@ class StackStepper:
             _finish(new_rows[i], w_rows[i], tail, iteration, *self._scratch)
         self._pair.reverse()
         return new
-
-
-def step_rows(estimates, inputs, outputs, cfgs, iteration):
-    """One :class:`StackStepper` update ``iteration`` of an (algorithms, runs, taps) stack.
-
-    Returns a new array; ``estimates`` is left as it was.
-    """
-    dtype = np.result_type(estimates, inputs, outputs)
-    return StackStepper(np.asarray(estimates, dtype), cfgs).step(inputs, outputs, iteration)
 
 
 def run_stream(cfg, stream):

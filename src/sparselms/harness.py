@@ -365,16 +365,17 @@ def diagnose_run(w_true, snapshots, relaxed_sparsity=None):
     keep-count defaults to min(2 s, N - 1); when no valid relaxation
     exists the superset condition is reported as None.  The snapshots
     are diagnosed together as one (K, N) stack by :func:`certify_rows`;
-    each record equals the one its snapshot would get on its own.
+    each record equals the one its snapshot would get on its own.  The
+    truth and the estimates may be real or complex.
     """
     snapshots = list(snapshots)
-    stack = np.array([estimate for _, estimate in snapshots], dtype=float)
+    stack = np.array([estimate for _, estimate in snapshots])
     return _diagnose_stack(w_true, [it for it, _ in snapshots], stack, relaxed_sparsity)
 
 
 def _diagnose_stack(w_true, iterations, stack, relaxed_sparsity):
     """:func:`diagnose_run`'s records of the (K, N) estimates ``stack``, one per iteration."""
-    w = np.asarray(w_true, dtype=float)
+    w = np.asarray(w_true)
     sup = support(w)
     if sup.size == 0:
         raise ValueError("true vector must have at least one nonzero entry")
@@ -387,7 +388,7 @@ def _diagnose_stack(w_true, iterations, stack, relaxed_sparsity):
         return []
     exact = certify_rows(w, stack)
     superset = [None] * len(stack) if d is None else certify_rows(w, stack, d).holds.tolist()
-    ratio = exact.error_sq / float(np.sum(w * w))
+    ratio = exact.error_sq / float(np.sum(np.abs(w) ** 2))
     with np.errstate(divide="ignore"):
         # an exact estimate gives ESR 0: infinite SER, -inf dB
         ser = 1.0 / ratio

@@ -52,6 +52,27 @@ def check_counts(obj, *names, optional=()):
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_snr(sc):
+    """Reject a scenario whose ``snr_db`` is NaN or -inf; +inf means noiseless."""
+    if math.isnan(sc.snr_db) or sc.snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {sc.snr_db}")
+
+
+def _add_noise(clean, power, snr_db, rng):
+    """``clean`` plus white Gaussian noise ``snr_db`` dB below ``power``; none at +inf."""
+    if snr_db == math.inf:
+        return clean
+    try:
+        noise_var = power / 10.0 ** (snr_db / 10.0)
+    except ZeroDivisionError:  # 10**(snr_db/10) underflowed to 0
+        noise_var = math.inf
+    except OverflowError:  # 10**(snr_db/10) beyond the float range: no noise
+        noise_var = 0.0
+    if not math.isfinite(noise_var):
+        raise ValueError(f"snr_db {snr_db} gives a non-finite noise variance")
+    return clean + np.sqrt(noise_var) * rng.standard_normal(len(clean))
+
+
 @dataclass
 class MeasurementStream:
     """Ordered (input vector, observed output) pairs plus ground truth.
@@ -105,9 +126,7 @@ class IdentScenario:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.tap_value) and self.tap_value != 0):
             raise ValueError(f"tap_value must be finite and nonzero, got {self.tap_value}")
-        # +inf means noiseless; NaN and -inf give no usable noise level
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
+        _check_snr(self)
 
 
 @dataclass
@@ -141,6 +160,7 @@ class SpectrumScenario:
             raise ValueError(
                 f"n_tones must satisfy 1 <= n_tones <= {n_usable} for full_len {self.full_len}"
             )
+        _check_snr(self)
 
 
 def gen_ident_stream(sc: IdentScenario) -> MeasurementStream:
@@ -190,16 +210,11 @@ def _ident_draw(sc: IdentScenario):
         np.copyto(rows[: j - i], windows[i:j])
         np.matmul(rows[: j - i], w, out=clean[i:j])
 
-    if np.isinf(sc.snr_db):
-        outputs = clean
-    else:
-        # E[clean(n)^2] = sum_{k <= n} w_k^2 for unit-variance white input
-        lags = np.arange(sc.n_taps)
-        weights = np.clip(sc.signal_len - lags, 0, None) / sc.signal_len
-        power = float(np.sum(w * w * weights))
-        noise_var = power / 10.0 ** (sc.snr_db / 10.0)
-        outputs = clean + np.sqrt(noise_var) * rng.standard_normal(sc.signal_len)
-    return windows, outputs, w
+    # E[clean(n)^2] = sum_{k <= n} w_k^2 for unit-variance white input
+    lags = np.arange(sc.n_taps)
+    weights = np.clip(sc.signal_len - lags, 0, None) / sc.signal_len
+    power = float(np.sum(w * w * weights))
+    return windows, _add_noise(clean, power, sc.snr_db, rng), w
 
 
 def _tone_bins(sc: SpectrumScenario, rng):
@@ -227,11 +242,7 @@ def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStr
 
     t = np.arange(L)
     clean = np.sin(2.0 * np.pi * np.outer(t, bins) / L).sum(axis=1)
-    if np.isinf(sc.snr_db):
-        noisy = clean
-    else:
-        noise_var = (sc.n_tones / 2.0) / 10.0 ** (sc.snr_db / 10.0)
-        noisy = clean + np.sqrt(noise_var) * rng.standard_normal(L)
+    noisy = _add_noise(clean, sc.n_tones / 2.0, sc.snr_db, rng)
 
     amp = np.sqrt(L) / 2.0
     truth = np.zeros(L, dtype=complex)

@@ -31,7 +31,7 @@ from sparselms import (
     theorem1_condition,
     theorem2_condition,
 )
-from sparselms.filters import hard_lms_step
+from sparselms.filters import step
 
 WORKERS = min(os.cpu_count() or 1, 8)
 
@@ -312,7 +312,7 @@ def test_criterion_6_single_measurement_iht_equivalence():
         state = FilterState.initial(n)
         cfg = FilterConfig("hard_lms", n_taps=n, mu=mu, sparsity=s)
         for k in range(steps):
-            state, _ = hard_lms_step(state, x, y, cfg)
+            state, _ = step(state, x, y, cfg)
             assert np.array_equal(state.estimate, hist[k]), f"real divergence, seed {seed}"
 
         xc = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -103,6 +103,31 @@ class TestIdentCommand:
         assert captured.out.splitlines()[0].startswith("lms: final ESR")
         assert (tmp_path / "summary.json").exists()
 
+    def test_each_variant_records_only_its_own_parameters(self, tmp_path):
+        # every tuning flag away from its default, all seven variants
+        out = tmp_path / "res"
+        code = run_cli([
+            "ident", "--taps", "16", "--nonzero", "3", "--signal-len", "60", "--mu", "0.02",
+            "--rho", "1e-4", "--epsilon", "5", "--sparsity", "3", "--relaxed-sparsity", "6",
+            "--warmup", "7", "--runs", "1", "--out", str(out),
+        ])
+        assert code == 0
+        algorithms = json.loads((out / "summary.json").read_text())["experiment"]["algorithms"]
+        defaults = dict(n_taps=16, mu=0.02, rho=0.0, epsilon=10.0, sparsity=None,
+                        relaxed_sparsity=None, warmup_steps=0)
+        own = {
+            "lms": {},
+            "za_lms": dict(rho=1e-4),
+            "rza_lms": dict(rho=1e-4, epsilon=5.0),
+            "sza_lms": dict(rho=1e-4, sparsity=3),
+            "hard_lms": dict(sparsity=3),
+            "hard_init_lms": dict(sparsity=3, warmup_steps=7),
+            "hard_rel_lms": dict(sparsity=3, relaxed_sparsity=6),
+        }
+        assert algorithms == [
+            {**defaults, **params, "algorithm": name, "label": name} for name, params in own.items()
+        ]
+
     def test_snapshot_cadence_beyond_signal_rejected(self, tmp_path, capsys):
         code = run_cli(["ident", "--signal-len", "100", "--snapshot-every", "500",
                         "--runs", "1", "--out", str(tmp_path)])
@@ -189,6 +214,30 @@ class TestSpectrumCommand:
         assert summary["experiment"]["passes"] == 10
         labels = [a["label"] for a in summary["experiment"]["algorithms"]]
         assert labels == ["complex_lms", "complex_hard_lms"]
+
+
+SMALL_RUNS = {
+    "ident": ["--taps", "16", "--nonzero", "3", "--signal-len", "60", "--sparsity", "3",
+              "--relaxed-sparsity", "6", "--warmup", "7", "--mu", "0.02"],
+    "spectrum": ["--full-len", "64", "--tones", "2", "--samples", "24", "--sparsity", "4",
+                 "--passes", "1"],
+}
+
+
+@pytest.mark.parametrize("snr_db", ["nan", "-inf", "-3100", "-4000"])
+@pytest.mark.parametrize("command", ["ident", "spectrum"])
+def test_unusable_snr_fails_cleanly(tmp_path, command, snr_db):
+    # a child process, so that warnings and tracebacks reach its stderr
+    out = tmp_path / "res"
+    argv = [command, *SMALL_RUNS[command], "--runs", "1", f"--snr-db={snr_db}", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(sparselms.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "sparselms.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "snr_db" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 class TestConfigFile:

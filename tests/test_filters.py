@@ -10,17 +10,12 @@ from sparselms import (
     IdentScenario,
     MeasurementStream,
     gen_ident_stream,
-    hard_lms_step,
     hard_threshold,
-    lms_step,
     run_stream,
-    rza_lms_step,
     step,
     support,
-    sza_lms_step,
-    za_lms_step,
 )
-from sparselms.filters import StackStepper, step_rows
+from sparselms.filters import StackStepper
 
 
 def cfg_for(alg, n_taps=4, mu=0.1, **kw):
@@ -92,6 +87,9 @@ class TestConfigValidation:
                 FilterConfig(alg, n_taps=4, mu=0.1)
         with pytest.raises(ValueError, match="relaxed_sparsity"):
             FilterConfig("hard_rel_lms", n_taps=4, mu=0.1, sparsity=1)
+        # d = s + tau relaxes a known s
+        with pytest.raises(ValueError, match="sparsity is required for hard_rel_lms"):
+            FilterConfig("hard_rel_lms", n_taps=4, mu=0.1, relaxed_sparsity=2)
 
     def test_label_defaults_to_algorithm(self):
         assert cfg_for("lms").label == "lms"
@@ -101,7 +99,7 @@ class TestConfigValidation:
 class TestLmsStep:
     def test_single_update(self):
         cfg = FilterConfig("lms", n_taps=2, mu=0.5)
-        state, err = lms_step(FilterState.initial(2), [1.0, 0.0], 1.0, cfg)
+        state, err = step(FilterState.initial(2), [1.0, 0.0], 1.0, cfg)
         assert err == 1.0
         assert state.estimate.tolist() == [0.5, 0.0]
         assert state.iteration == 1
@@ -113,20 +111,20 @@ class TestLmsStep:
         state = FilterState(w.copy(), 0)
         for _ in range(10):
             x = rng.standard_normal(5)
-            state, err = lms_step(state, x, float(np.dot(w, x)), cfg)
+            state, err = step(state, x, float(np.dot(w, x)), cfg)
             assert err == 0.0
         assert np.array_equal(state.estimate, w)
 
     def test_two_tap_example(self):
         cfg = FilterConfig("lms", n_taps=2, mu=0.1)
-        state, err = lms_step(FilterState(np.array([1.0, 1.0]), 0), [1.0, -1.0], 1.0, cfg)
+        state, err = step(FilterState(np.array([1.0, 1.0]), 0), [1.0, -1.0], 1.0, cfg)
         assert err == pytest.approx(1.0)
         assert state.estimate == pytest.approx([1.1, 0.9])
 
     def test_dimension_mismatch(self):
         cfg = FilterConfig("lms", n_taps=3, mu=0.1)
         with pytest.raises(ValueError, match="n_taps"):
-            lms_step(FilterState.initial(3), [1.0, 2.0], 0.0, cfg)
+            step(FilterState.initial(3), [1.0, 2.0], 0.0, cfg)
 
 
 class TestZeroAttractors:
@@ -140,31 +138,31 @@ class TestZeroAttractors:
 
     def test_za_pure_shrink(self):
         cfg = FilterConfig("za_lms", n_taps=2, mu=0.1, rho=0.1)
-        state, err = za_lms_step(FilterState(np.array([1.0, -1.0]), 0), [0.0, 0.0], 0.0, cfg)
+        state, err = step(FilterState(np.array([1.0, -1.0]), 0), [0.0, 0.0], 0.0, cfg)
         assert err == 0.0
         assert state.estimate == pytest.approx([0.9, -0.9])
 
     def test_za_sign_of_zero(self):
         cfg = FilterConfig("za_lms", n_taps=2, mu=0.1, rho=0.1)
-        state, _ = za_lms_step(FilterState.initial(2), [0.0, 0.0], 0.0, cfg)
+        state, _ = step(FilterState.initial(2), [0.0, 0.0], 0.0, cfg)
         assert state.estimate.tolist() == [0.0, 0.0]
 
     def test_rza_reweighted_shrink(self):
         cfg = FilterConfig("rza_lms", n_taps=2, mu=0.1, rho=0.1, epsilon=10.0)
-        state, _ = rza_lms_step(FilterState(np.array([1.0, 0.0]), 0), [0.0, 0.0], 0.0, cfg)
+        state, _ = step(FilterState(np.array([1.0, 0.0]), 0), [0.0, 0.0], 0.0, cfg)
         assert state.estimate == pytest.approx([1.0 - 0.1 / 11.0, 0.0])
 
     def test_rza_penalty_decreases_with_magnitude(self):
         cfg = FilterConfig("rza_lms", n_taps=1, mu=0.1, rho=0.1, epsilon=10.0)
         shrinks = []
         for w0 in (0.1, 1.0, 10.0, 1000.0):
-            state, _ = rza_lms_step(FilterState(np.array([w0]), 0), [0.0], 0.0, cfg)
+            state, _ = step(FilterState(np.array([w0]), 0), [0.0], 0.0, cfg)
             shrinks.append(w0 - state.estimate[0])
         assert all(a > b > 0 for a, b in zip(shrinks, shrinks[1:]))
 
     def test_sza_tie_spares_tying_pair(self):
         cfg = FilterConfig("sza_lms", n_taps=4, mu=0.1, rho=0.5, sparsity=1)
-        state, _ = sza_lms_step(
+        state, _ = step(
             FilterState(np.array([2.0, -2.0, 1.0, 0.0]), 0), np.zeros(4), 0.0, cfg
         )
         assert state.estimate == pytest.approx([2.0, -2.0, 0.5, 0.0])
@@ -173,7 +171,7 @@ class TestZeroAttractors:
         # estimate sparser than s with a clear top set: penalty skips it
         cfg = FilterConfig("sza_lms", n_taps=4, mu=0.1, rho=0.3, sparsity=2)
         w = np.array([3.0, 1.0, 0.0, 0.0])
-        state, _ = sza_lms_step(FilterState(w.copy(), 0), np.zeros(4), 0.0, cfg)
+        state, _ = step(FilterState(w.copy(), 0), np.zeros(4), 0.0, cfg)
         assert state.estimate == pytest.approx(w)
 
     def test_sza_mask_disjoint_from_top_support_each_step(self):
@@ -183,8 +181,8 @@ class TestZeroAttractors:
         state = FilterState.initial(8)
         for x, y in stream:
             top_before = support(hard_threshold(state.estimate, 2))
-            plain, _ = lms_step(state, x, y, lms_cfg)
-            state, _ = sza_lms_step(state, x, y, cfg)
+            plain, _ = step(state, x, y, lms_cfg)
+            state, _ = step(state, x, y, cfg)
             penalized = support(plain.estimate - state.estimate)
             assert not np.intersect1d(penalized, top_before).size
 
@@ -192,7 +190,7 @@ class TestZeroAttractors:
 class TestHardVariants:
     def test_basic_threshold_step(self):
         cfg = FilterConfig("hard_lms", n_taps=2, mu=0.1, sparsity=1)
-        state, err = hard_lms_step(FilterState.initial(2), [1.0, 2.0], 1.0, cfg)
+        state, err = step(FilterState.initial(2), [1.0, 2.0], 1.0, cfg)
         assert err == 1.0
         assert state.estimate == pytest.approx([0.0, 0.2])
 
@@ -235,7 +233,7 @@ class TestHardVariants:
 
     def test_relaxed_uses_d(self):
         cfg = FilterConfig("hard_rel_lms", n_taps=4, mu=0.1, sparsity=1, relaxed_sparsity=3)
-        state, _ = hard_lms_step(FilterState.initial(4), [4.0, 3.0, 2.0, 1.0], 1.0, cfg)
+        state, _ = step(FilterState.initial(4), [4.0, 3.0, 2.0, 1.0], 1.0, cfg)
         assert np.count_nonzero(state.estimate) == 3
 
     def test_support_size_equals_s_without_ties(self):
@@ -254,26 +252,19 @@ class TestHardVariants:
         state = FilterState(w.copy(), 0)
         for _ in range(20):
             x = rng.standard_normal(6)
-            state, err = hard_lms_step(state, x, float(np.dot(w, x)), cfg)
+            state, err = step(state, x, float(np.dot(w, x)), cfg)
             assert err == 0.0
         assert np.array_equal(state.estimate, w)
 
 
-class TestStepDispatch:
-    def test_dispatch_matches_direct_call(self):
-        stream = random_stream(4, 5, seed=0)
-        for alg, fn in [("lms", lms_step), ("za_lms", za_lms_step), ("hard_lms", hard_lms_step)]:
-            cfg = cfg_for(alg)
-            s1, s2 = FilterState.initial(4), FilterState.initial(4)
-            for x, y in stream:
-                s1, e1 = step(s1, x, y, cfg)
-                s2, e2 = fn(s2, x, y, cfg)
-                assert e1 == e2
-                assert np.array_equal(s1.estimate, s2.estimate)
+def step_rows(estimates, inputs, outputs, cfgs, iteration):
+    """One update ``iteration`` of an (algorithms, runs, taps) stack by a fresh stepper."""
+    dtype = np.result_type(estimates, inputs, outputs)
+    return StackStepper(np.asarray(estimates, dtype), cfgs).step(inputs, outputs, iteration)
 
 
 class TestStepRows:
-    """The batched update against the scalar stepper it must reproduce."""
+    """One stacked update against the scalar stepper it must reproduce."""
 
     @pytest.mark.parametrize("n_taps", [16, 256])
     @pytest.mark.parametrize("alg", [a.value for a in Algorithm])
@@ -482,13 +473,15 @@ class TestStackStepper:
                     assert np.array_equal(stack[i, r], states[i][r].estimate), (n, cfg.algorithm)
         assert len(outputs) == 2
 
-    def test_step_rows_returns_a_new_array(self):
+    def test_callers_array_left_unchanged(self):
         cfgs = [cfg_for(a.value, n_taps=6, rho=1e-3) for a in Algorithm]
         rng = np.random.default_rng(4)
         w = rng.standard_normal((len(cfgs), 2, 6))
         before = w.copy()
-        stack = step_rows(w, rng.standard_normal((2, 6)), rng.standard_normal(2), cfgs, 3)
-        assert not np.shares_memory(stack, w)
+        stepper = StackStepper(w, cfgs)
+        for n in range(3):
+            stack = stepper.step(rng.standard_normal((2, 6)), rng.standard_normal(2), n)
+            assert not np.shares_memory(stack, w)
         assert np.array_equal(w, before)
 
 
@@ -532,7 +525,7 @@ class TestStepSizeBound:
                 for i in range(length):
                     x = rng.standard_normal(self.N)
                     y = float(np.dot(truth, x)) + 0.1 * rng.standard_normal()
-                    state, _ = lms_step(state, x, y, cfg)
+                    state, _ = step(state, x, y, cfg)
                     if i in acc:
                         acc[i] += state.estimate - truth
         return [float(np.linalg.norm(acc[c] / n_runs)) for c in checkpoints]

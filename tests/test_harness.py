@@ -609,6 +609,44 @@ class TestRowWiseDiagnostics:
     def test_no_snapshots(self):
         assert diagnose_run(np.array([1.0, 0.0, 0.0]), []) == []
 
+    def test_complex_estimates(self):
+        # a quarter turn of every entry leaves each magnitude, so the record too
+        rec = diagnose_run([1j, 0, 0, 0], [(1, [0.9j, 0, 0, 0.05j])])
+        assert rec == diagnose_run([1.0, 0, 0, 0], [(1, [0.9, 0, 0, 0.05])])
+        assert rec[0]["theorem1_holds"] is True
+
+    @settings(max_examples=100, deadline=None)
+    @given(snapshot_stacks(), st.integers(0, 2**32 - 1))
+    def test_complex_records_equal_single_snapshot_checks(self, case, seed):
+        w, snapshots, relaxed = case
+        rng = np.random.default_rng(seed)
+        # turn the truth and each error by random phases; every magnitude stays
+        w_c = w * np.exp(2j * np.pi * rng.random(w.size))
+        snapshots = [
+            (it, w_c + (est - w) * np.exp(2j * np.pi * rng.random(w.size))) for it, est in snapshots
+        ]
+        sup = support(w_c)
+        s, n = sup.size, w.size
+        d = relaxed if relaxed is not None else min(2 * s, n - 1)
+        records = diagnose_run(w_c, snapshots, relaxed_sparsity=relaxed)
+        assert len(records) == len(snapshots)
+        for (iteration, est), rec in zip(snapshots, records):
+            ratio = esr(w_c, est)
+            assert rec == {
+                "iteration": iteration,
+                "esr": ratio,
+                "esr_db": float("-inf") if ratio == 0.0 else 10.0 * float(np.log10(ratio)),
+                "ser": float("inf") if ratio == 0.0 else 1.0 / ratio,
+                "ser_db": float("inf") if ratio == 0.0 else -10.0 * float(np.log10(ratio)),
+                "theorem1_holds": theorem1_condition(w_c, est).condition_holds,
+                "theorem2_holds": (
+                    theorem2_condition(w_c, est, d).condition_holds if s < d < n else None
+                ),
+                "support_hit_rate": (
+                    float(np.isin(sup, support(hard_threshold(est, s))).sum()) / s
+                ),
+            }
+
     @staticmethod
     def _trajectory(n_rows):
         """A 64-tap truth and dense estimates whose errors sweep across both theorem bounds."""

@@ -17,7 +17,7 @@ from sparselms import (
     theorem1_condition,
     theorem2_condition,
 )
-from sparselms.filters import hard_lms_step
+from sparselms.filters import step
 from sparselms.recovery import GUARANTEE_EXACT, GUARANTEE_NONE, GUARANTEE_SUPERSET, certify_rows
 
 
@@ -228,7 +228,7 @@ class TestBatchIht:
         cfg = FilterConfig("hard_lms", n_taps=n, mu=mu, sparsity=s)
         state = FilterState.initial(n)
         for k in range(steps):
-            state, _ = hard_lms_step(state, x, y, cfg)
+            state, _ = step(state, x, y, cfg)
             assert np.array_equal(state.estimate, hist[k])
 
     def test_dimension_errors(self):

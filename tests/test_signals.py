@@ -212,6 +212,38 @@ class TestSpectrumScenario:
             SpectrumScenario(seed=seed)
 
 
+class TestNoiseLevel:
+    """One snr_db rule for both scenarios: +inf is noiseless, and every noise level is finite."""
+
+    SCENARIOS = {
+        "ident": (lambda snr: IdentScenario(n_taps=8, n_nonzero=2, signal_len=20, snr_db=snr),
+                  gen_ident_stream),
+        "spectrum": (lambda snr: SpectrumScenario(full_len=32, n_tones=2, n_samples=12, snr_db=snr),
+                     gen_spectrum_stream),
+    }
+
+    @pytest.mark.parametrize("kind", SCENARIOS)
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_meaningless_snr_rejected(self, kind, snr_db):
+        make, _ = self.SCENARIOS[kind]
+        with pytest.raises(ValueError, match="snr_db must be a number or \\+inf"):
+            make(snr_db)
+
+    @pytest.mark.parametrize("kind", SCENARIOS)
+    @pytest.mark.parametrize("snr_db", [-3100.0, -4000.0])
+    def test_non_finite_noise_variance_names_snr_db(self, kind, snr_db):
+        # -3100 dB overflows the variance to inf; at -4000 dB its divisor underflows to 0
+        make, draw = self.SCENARIOS[kind]
+        with pytest.raises(ValueError, match="snr_db .* non-finite noise variance"):
+            draw(make(snr_db))
+
+    def test_overflowing_snr_adds_zero_noise(self):
+        # 10**(4000/10) overflows a float; the noise variance is then 0
+        sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=20, snr_db=4000.0)
+        noiseless = gen_ident_stream(replace(sc, snr_db=np.inf))
+        assert np.array_equal(gen_ident_stream(sc).outputs, noiseless.outputs)
+
+
 class TestGenSpectrumStream:
     def test_truth_occupies_two_bins_per_tone(self):
         sc = SpectrumScenario(full_len=64, n_tones=1, n_samples=64, snr_db=np.inf, seed=0)
