@@ -83,8 +83,11 @@ def _apply_config_file(args, parser):
     """Override ``args`` with the config file's values, each converted as on the command line."""
     if args.config is None:
         return
-    with open(args.config) as fh:
-        overrides = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
+        raise ValueError(f"--config {args.config}: {exc}") from None
     if not isinstance(overrides, dict):
         raise ValueError(f"--config {args.config}: expected a JSON object")
     types = _option_types(parser, args.command)
@@ -177,7 +180,7 @@ def main(argv=None):
                 print(f"{label}: mean support hit rate {rate:.3f} over {report.n_runs} runs")
         for path in paths:
             print(f"wrote {path}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -252,9 +252,10 @@ class StackStepper:
     :meth:`step` swaps, one scratch set and each slice's :func:`_tail`.
     Row ``r`` of slice ``i`` gets :func:`step` under ``cfgs[i]`` bit for
     bit: the errors are 1xN by Nx1 ``matmul`` products, as in ``np.vdot``.
+    A ``mu`` of one step size per run replaces the configs' own, bits unchanged.
     """
 
-    def __init__(self, estimates, cfgs):
+    def __init__(self, estimates, cfgs, mu=None):
         w = np.array(estimates)
         conj = self._conj = np.empty_like(w) if np.iscomplexobj(w) else None
         bufs = w, np.empty_like(w)
@@ -264,8 +265,8 @@ class StackStepper:
         self._err = err, err[..., 0], err[..., 0, 0]
         # a shared step size stays a Python number: an (algorithms, 1, 1)
         # column costs a few us a step
-        mu = self._mu = cfgs[0].mu
-        if any(cfg.mu != mu for cfg in cfgs):
+        self._mu = cfgs[0].mu if mu is None else np.asarray(mu, float)[:, None]
+        if mu is None and any(cfg.mu != self._mu for cfg in cfgs):
             self._mu = np.array([cfg.mu for cfg in cfgs])[:, None, None]
         self._tails = [(i, t) for i, t in enumerate(map(_tail, cfgs)) if t is not None]
         # the attractor, magnitudes, sorted magnitudes and mask of one slice

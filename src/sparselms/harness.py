@@ -3,13 +3,11 @@
 Runs the two benchmark experiments (sparse identification and
 undersampled spectrum estimation) over seeded Monte Carlo repetitions and
 writes deterministic CSV/JSON artifacts.  Per-run seeds are always
-``base_seed + run_index``.  Both experiments step (algorithms, runs,
-taps) stacks, each through one ``filters.StackStepper`` that updates it
-in place: identification blocks of at most ``BLOCK_RUNS`` consecutive
-runs, and each spectrum run as one (algorithms, 1, full_len) stack.
-Blocks and spectrum runs may execute on parallel workers and are
-aggregated in run-index order, so outputs are byte-identical for any
-worker count and block size.
+``base_seed + run_index``.  Both experiments step blocks of consecutive
+runs as (algorithms, runs, taps) stacks, each through one
+``filters.StackStepper`` that updates it in place.  Blocks may execute on
+parallel workers and are aggregated in run-index order, so outputs are
+byte-identical for any worker count and block size.
 """
 
 import json
@@ -28,9 +26,9 @@ from .signals import (
     IdentScenario,
     SpectrumScenario,
     _ident_draw,
+    _root_table,
+    _spectrum_draw,
     check_counts,
-    gen_spectrum_stream,
-    step_size_from_stream,
 )
 from .thresholding import hard_threshold, support
 
@@ -56,6 +54,10 @@ SCHEMA_VERSION = 1
 # 48-run block of seven algorithms was as fast stacked whole as stepped one
 # algorithm at a time.
 BLOCK_RUNS = 48
+
+# Entries per algorithm in a spectrum block of whole runs, at least one.  At full_len 1000 a
+# run-step took 34.7, 25.7, 22.5 and 23.8 us in blocks of 1, 4, 8 and 16 runs (2-vCPU VM).
+SPECTRUM_BLOCK_ENTRIES = 2**13
 
 # Run 0's snapshots are diagnosed this many at a time, so a stack of seven
 # algorithms snapshotted at every update holds no more than one did.
@@ -225,19 +227,21 @@ def _ident_block(cfg, runs):
     return dict(zip((a.label for a in algorithms), esr)), diagnostics
 
 
-def _map(fn, items, max_workers):
-    """``fn`` over ``items`` in order, on up to ``max_workers`` processes.
+def _map_blocks(fn, n_runs, size, max_workers):
+    """``fn`` over blocks ``(start, stop)`` of consecutive runs, on up to ``max_workers`` processes.
 
-    Results are yielded in the order of ``items`` whichever worker
-    finishes first.
+    Blocks of at most ``size`` runs are split evenly over the workers; results
+    are yielded in run order whichever worker finishes first.
     """
-    if max_workers <= 1 or len(items) == 1:
-        yield from map(fn, items)
+    size = min(size, math.ceil(n_runs / max_workers))
+    blocks = [(b, min(b + size, n_runs)) for b in range(0, n_runs, size)]
+    if max_workers <= 1 or len(blocks) == 1:
+        yield from map(fn, blocks)
         return
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
-    with ProcessPoolExecutor(max_workers=min(max_workers, len(items))) as pool:
-        yield from pool.map(fn, items)
+    with ProcessPoolExecutor(max_workers=min(max_workers, len(blocks))) as pool:
+        yield from pool.map(fn, blocks)
 
 
 def _check_config(cfg, scenario_type, max_workers=1):
@@ -286,11 +290,10 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     :func:`ident_diagnostics`.  Raises ValueError when a filter diverges.
     """
     _check_config(cfg, IdentScenario, max_workers)
-    size = min(BLOCK_RUNS, math.ceil(cfg.n_runs / max_workers))
-    blocks = [(b, min(b + size, cfg.n_runs)) for b in range(0, cfg.n_runs, size)]
+    blocks = _map_blocks(partial(_ident_block, cfg), cfg.n_runs, BLOCK_RUNS, max_workers)
     totals = {a.label: np.zeros(cfg.scenario.signal_len) for a in cfg.algorithms}
     diagnostics = None
-    for esr, block_diagnostics in _map(partial(_ident_block, cfg), blocks, max_workers):
+    for esr, block_diagnostics in blocks:
         if block_diagnostics is not None:
             diagnostics = block_diagnostics
         for label, rows in esr.items():
@@ -304,37 +307,47 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     }
 
 
-def _spectrum_run(cfg, run_index):
-    """``(truth, {label: final estimate})``; the filters walk the samples ``cfg.passes`` times."""
-    sc = replace(cfg.scenario, seed=cfg.base_seed + run_index)
-    stream = gen_spectrum_stream(sc)
-    mu = step_size_from_stream(stream)
+def _spectrum_block(cfg, runs):
+    """``(truth, {label: final estimate})`` of each run in ``range(*runs)``, stepped as one stack.
+
+    The rows are gathered from the root table through a (samples, runs,
+    full_len) index of the smallest unsigned dtype.
+    """
+    sc, seeds = cfg.scenario, range(cfg.base_seed + runs[0], cfg.base_seed + runs[1])
+    L, M = sc.full_len, sc.n_samples
+    table, keys = _root_table(L), np.arange(L, dtype=np.min_scalar_type(L - 1))
+    index, outputs = np.empty((M, len(seeds), L), keys.dtype), np.empty((M, len(seeds)))
+    truths = []
+    for r, seed in enumerate(seeds):
+        outputs[:, r], truth = _spectrum_draw(replace(sc, seed=seed), keys, index[:, r])
+        truths.append(truth)
+    # each run's 1/||x||^2, with the bits step_size_from_stream gives on its rows
+    mu = 1.0 / np.sum(np.abs(table[index[0]]) ** 2, axis=1)
     # no thresholding during the first pass over the samples
-    algorithms = [replace(a, mu=mu, warmup_steps=sc.n_samples) for a in cfg.algorithms]
-    stepper = StackStepper(np.zeros((len(algorithms), 1, sc.full_len), complex), algorithms)
-    for n in range(cfg.passes * sc.n_samples):
-        # every filter reads the same (1, full_len) input row
-        t = n % sc.n_samples
-        w = stepper.step(stream.inputs[t : t + 1], stream.outputs[t : t + 1], n)
-    return stream.truth, {a.label: est[0] for a, est in zip(algorithms, w)}
+    algorithms = [replace(a, warmup_steps=M) for a in cfg.algorithms]
+    stepper = StackStepper(np.zeros((len(algorithms), len(seeds), L), complex), algorithms, mu)
+    x = np.empty((len(seeds), L), complex)
+    for n in range(cfg.passes * M):
+        w = stepper.step(np.take(table, index[n % M], out=x, mode="clip"), outputs[n % M], n)
+    return [(t, {a.label: est[r] for a, est in zip(algorithms, w)}) for r, t in enumerate(truths)]
 
 
 def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     """Run the undersampled spectrum experiment and build a report.
 
     The step size is 1/||x||^2 of each run's own input rows; hard-threshold
-    variants skip thresholding during the first pass.  A run's filters
-    step together through one :class:`~sparselms.filters.StackStepper` as
-    one (algorithms, 1, full_len) stack sharing each input row.  Each filter is
-    scored by where its final estimate puts the top-s bins, s being the
+    variants skip thresholding during the first pass.  Blocks of runs step
+    through one :class:`~sparselms.filters.StackStepper` each.  Each filter
+    is scored by where its final estimate puts the top-s bins, s being the
     true spectrum's support size.  The zero-attracting variants are
     rejected: their sign attractors are real-only.
     """
     _check_config(cfg, SpectrumScenario, max_workers)
-    worker = partial(_spectrum_run, cfg)
+    size = max(1, SPECTRUM_BLOCK_ENTRIES // cfg.scenario.full_len)
+    blocks = _map_blocks(partial(_spectrum_block, cfg), cfg.n_runs, size, max_workers)
     hit_rates = {a.label: [] for a in cfg.algorithms}
     true_bin_means = {a.label: [] for a in cfg.algorithms}
-    for run, (truth, estimates) in enumerate(_map(worker, range(cfg.n_runs), max_workers)):
+    for run, (truth, estimates) in enumerate(r for block in blocks for r in block):
         true_support = support(truth)
         s = int(true_support.size)
         top_sets = {l: support(hard_threshold(w, s)) for l, w in estimates.items()}

@@ -230,12 +230,29 @@ def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStr
     The ground truth is the unitary DFT of the clean signal, constructed
     analytically: a unit sinusoid at bin k contributes -+i*sqrt(N)/2 at
     bins k and N-k and exact zeros elsewhere.  Each measurement pairs the
-    conjugated inverse-DFT row of a sampled time position with the noisy
-    sample there, and the whole sample set is repeated ``passes`` times
-    in the same order to support retraining.
+    conjugated inverse-DFT row of a sampled time position, read from the
+    root table, with the noisy sample there, and the whole sample set is
+    repeated ``passes`` times in the same order to support retraining.
     """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
+    rows = np.empty((sc.n_samples, sc.full_len), dtype=complex)
+    samples, truth = _spectrum_draw(sc, _root_table(sc.full_len), rows)
+    if passes == 1:
+        return MeasurementStream(rows, samples, truth)
+    return MeasurementStream(np.tile(rows, (passes, 1)), np.tile(samples, passes), truth)
+
+
+def _root_table(L):
+    return np.exp(-2j * np.pi * np.arange(L) / L) / np.sqrt(L)
+
+
+def _spectrum_draw(sc: SpectrumScenario, values, out):
+    """:func:`gen_spectrum_stream`'s draw of bins, noise and positions: ``(samples, truth)``.
+
+    Writes ``values[(p * k) % L]`` to ``out[t, k]`` by chunks of rows, ``p`` the t-th position:
+    with :func:`_root_table` as values, the input rows; with ``np.arange(L)``, their indices.
+    """
     rng = np.random.default_rng(sc.seed)
     L = sc.full_len
     bins = _tone_bins(sc, rng)
@@ -250,16 +267,11 @@ def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStr
     truth[L - bins] = 1j * amp
 
     positions = rng.choice(L, size=sc.n_samples, replace=False)
-    samples = noisy[positions]
-    # conj inverse-DFT rows (truth^H x(t) = clean(t)), drawn in place by chunks
-    rows = np.empty((sc.n_samples, L), dtype=complex)
     chunk = max(1, 2**15 // L)
     for i in range(0, sc.n_samples, chunk):
-        np.exp(-2j * np.pi * np.outer(positions[i : i + chunk], t) / L, out=rows[i : i + chunk])
-    rows /= np.sqrt(L)
-    if passes == 1:
-        return MeasurementStream(rows, samples, truth)
-    return MeasurementStream(np.tile(rows, (passes, 1)), np.tile(samples, passes), truth)
+        k = np.multiply.outer(positions[i : i + chunk], t) % L
+        np.take(values, k, out=out[i : i + chunk], mode="clip")  # k is in range: no buffered out
+    return noisy[positions], truth
 
 
 # Relative spread allowed between the squared input-row norms of a stream.

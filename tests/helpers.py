@@ -98,13 +98,15 @@ def former_penalty_mask(v, s):
     return out
 
 
-def whole_matrix_spectrum_stream(sc, passes=1):
+def whole_matrix_spectrum_stream(sc, passes=1, table=False):
     """Reference spectrum stream built through whole-matrix temporaries.
 
     The package's former ``gen_spectrum_stream``, kept verbatim: one
     ``(n_samples, full_len)`` phase matrix, one ``np.exp`` over it and an
-    ``np.tile`` copy even at ``passes=1``.  The package draws the rows in
-    place, a chunk at a time, and must match this bit for bit.
+    ``np.tile`` copy even at ``passes=1``.  With ``table``, the rows are
+    instead one gather from the table of the ``full_len`` roots of unity,
+    through one whole-matrix index.  The package draws the table rows in
+    place, a chunk at a time, and must match those bit for bit.
     """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
@@ -127,7 +129,10 @@ def whole_matrix_spectrum_stream(sc, passes=1):
 
     positions = rng.choice(L, size=sc.n_samples, replace=False)
     # conj of the inverse-DFT rows, so that truth^H x(t) = clean(t)
-    rows = np.exp(-2j * np.pi * np.outer(positions, t) / L) / np.sqrt(L)
+    if table:
+        rows = (np.exp(-2j * np.pi * t / L) / np.sqrt(L))[np.outer(positions, t) % L]
+    else:
+        rows = np.exp(-2j * np.pi * np.outer(positions, t) / L) / np.sqrt(L)
     samples = noisy[positions]
 
     inputs = np.tile(rows, (passes, 1))

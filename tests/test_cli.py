@@ -309,6 +309,28 @@ class TestConfigFile:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "name,content,reason",
+        [
+            ("nofile.json", None, "No such file or directory"),
+            ("adir", "dir", "Is a directory"),
+            ("bad.json", b"{not json", "Expecting property name"),
+            ("latin.json", b'{"runs": "\xff"}', "can't decode byte 0xff"),
+        ],
+        ids=["missing", "directory", "invalid-json", "not-utf8"],
+    )
+    def test_unreadable_file_names_the_option(self, tmp_path, capsys, name, content, reason):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        code = run_cli(["spectrum", "--config", str(path), "--out", str(tmp_path / "res")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {path}: ") and reason in err
+        assert not (tmp_path / "res").exists()
+
 
 class TestDeterminism:
     def test_cli_reruns_byte_identical(self, tmp_path):

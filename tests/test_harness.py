@@ -29,7 +29,7 @@ from sparselms import (
 )
 from sparselms import harness, recovery
 from sparselms.harness import LearningCurve, SpectrumReport, _ident_block
-from sparselms.signals import esr
+from sparselms.signals import esr, esr_db
 from sparselms.thresholding import hard_threshold, support
 
 
@@ -174,7 +174,7 @@ class TestWorkerCount:
 
         # the draws the runners really call
         monkeypatch.setattr(harness, "_ident_draw", no_draw)
-        monkeypatch.setattr(harness, "gen_spectrum_stream", no_draw)
+        monkeypatch.setattr(harness, "_spectrum_draw", no_draw)
         with pytest.raises(ValueError, match="max_workers"):
             run_ident_experiment(small_ident_config(), max_workers=workers)
         with pytest.raises(ValueError, match="max_workers"):
@@ -437,6 +437,74 @@ class TestRunSpectrumExperiment:
         assert a.per_run_hit_rates == b.per_run_hit_rates
         for label in a.estimate_magnitudes:
             assert np.array_equal(a.estimate_magnitudes[label], b.estimate_magnitudes[label])
+
+    def test_block_size_leaves_artifacts_unchanged(self, monkeypatch, tmp_path):
+        # the runners' one partition: 9 runs in blocks of 8 + 1 at one
+        # worker, of 3 + 3 + 3 at three
+        assert list(harness._map_blocks(tuple, 9, 8, 1)) == [(0, 8), (8, 9)]
+        assert list(harness._map_blocks(tuple, 9, 8, 3)) == [(0, 3), (3, 6), (6, 9)]
+        cfg = small_spectrum_config(n_runs=9)
+        artifacts = []
+        for cap in (None, 1, 3, 8):  # None: the default, one block of all 9 runs
+            if cap is not None:
+                monkeypatch.setattr(harness, "SPECTRUM_BLOCK_ENTRIES", cap * cfg.scenario.full_len)
+            paths = emit_outputs(run_spectrum_experiment(cfg), tmp_path / str(cap), experiment=cfg)
+            artifacts.append([path.read_bytes() for path in paths])
+        assert all(a == artifacts[0] for a in artifacts)
+
+
+class TestSpectrumClosedForms:
+    """Plain LMS on default spectrum runs against its closed forms.
+
+    A run's rows are orthonormal and its step size 1/||x||^2 is 1, so one
+    pass of LMS from zero lands on the minimum-norm solution ``X^T conj(y)``:
+    the truth projected onto the M sampled rows, plus noise.  Later passes
+    only add rounding.  Plain LMS therefore keeps about M/L of each tone
+    and misses the rest of the truth.
+    """
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        sc = SpectrumScenario()  # the CLI defaults, with their roster
+        cfg = ExperimentConfig(
+            scenario=sc,
+            algorithms=[
+                FilterConfig("lms", n_taps=1000, mu=1.0, label="complex_lms"),
+                FilterConfig("hard_lms", n_taps=1000, mu=1.0, sparsity=20,
+                             label="complex_hard_lms"),
+            ],
+            n_runs=3,
+        )
+        blocks = harness._spectrum_block(cfg, (0, 3))
+        streams = [gen_spectrum_stream(replace(sc, seed=seed)) for seed in range(3)]
+        return sc, [(stream, est["complex_lms"]) for stream, (_, est) in zip(streams, blocks)]
+
+    def test_rows_are_orthonormal(self, runs):
+        # the former np.exp rows were off by up to 6.0e-14; the table rows 8.0e-16
+        for stream, _ in runs[1]:
+            x = stream.inputs
+            assert np.max(np.abs(x @ x.conj().T - np.eye(len(x)))) <= 2e-15
+
+    def test_lms_is_the_minimum_norm_solution(self, runs):
+        # measured <= 1.2e-15 (the former rows: 1.1e-13)
+        for stream, w in runs[1]:
+            want = stream.inputs.T @ np.conj(stream.outputs)
+            assert np.linalg.norm(w - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_lms_keeps_m_over_l_of_each_tone(self, runs):
+        # M/L = 0.3; measured 0.295-0.321
+        sc = runs[0]
+        for stream, w in runs[1]:
+            true_support = support(stream.truth)
+            ratio = np.mean(np.abs(w[true_support])) / (np.sqrt(sc.full_len) / 2)
+            assert 0.25 <= ratio <= 0.35
+
+    def test_lms_esr_is_one_minus_m_over_l(self, runs):
+        # 10 log10(1 - M/L) = -1.55 dB; measured -1.44 to -1.62 dB
+        sc = runs[0]
+        want = 10 * np.log10(1 - sc.n_samples / sc.full_len)
+        for stream, w in runs[1]:
+            assert abs(esr_db(stream.truth, w) - want) <= 0.25
 
 
 class TestBenchmarkScenarios:

@@ -321,7 +321,11 @@ class TestGenSpectrumStream:
 
 
 class TestChunkedSpectrumRows:
-    """Rows drawn in place by chunks keep the bits of the whole-matrix draw."""
+    """Rows read in place by chunks from the table of roots keep the bits of one whole-matrix gather.
+
+    The samples and the truth keep the bits of the former whole-matrix
+    draw, whose ``np.exp`` over the phase matrix the rows replace.
+    """
 
     @pytest.mark.parametrize("passes", [1, 3])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -338,10 +342,16 @@ class TestChunkedSpectrumRows:
     def test_matches_whole_matrix_stream(self, kw, seed, passes):
         sc = SpectrumScenario(seed=seed, **kw)
         got = gen_spectrum_stream(sc, passes=passes)
-        want = whole_matrix_spectrum_stream(sc, passes=passes)
-        for field in ("inputs", "outputs", "truth"):
+        former = whole_matrix_spectrum_stream(sc, passes=passes)
+        table = whole_matrix_spectrum_stream(sc, passes=passes, table=True)
+        for field, want in (("inputs", table), ("outputs", former), ("truth", former)):
             a, b = getattr(got, field), getattr(want, field)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+        # the former rows rounded phases of up to 2*pi*full_len, so their
+        # entries are off by up to ~2*pi*eps*sqrt(full_len): 4.4e-14 at the
+        # default 1000 (measured 3.2e-14), 2.5e-13 at 2**15 + 1 (2.0e-13)
+        bound = max(1e-13, 4 * np.pi * np.finfo(float).eps * np.sqrt(sc.full_len))
+        assert np.max(np.abs(got.inputs - former.inputs)) <= bound
 
     def test_peak_memory_close_to_the_rows(self):
         # the whole-matrix draw peaked at ~2.1x the rows it returned
