@@ -25,6 +25,8 @@ import numpy as np
 from .signals import check_counts
 from .thresholding import _below_cut, _penalty, hard_threshold
 
+REUSE_TAPS = 512  # rows at least this long cut where the last hard threshold kept
+
 __all__ = [
     "Algorithm",
     "FilterConfig",
@@ -199,12 +201,12 @@ def _gradient(w, err, x, mu, out=None):
     return new
 
 
-def _finish(new, w, tail, iteration, scratch=None, *cut_buffers):
+def _finish(new, w, tail, iteration, scratch=None, *cut_buffers, cut=None):
     """Finish update ``iteration`` on ``new``, the gradient step from ``w``, in place.
 
     Subtracts ``rho * a(w)``, then hard-thresholds after the warm-up, as
-    ``tail`` (:func:`_tail`'s) says.  The buffers, if given, are scratch of
-    ``new``'s shape for the attractor and for :func:`_below_cut`.
+    ``tail`` (:func:`_tail`'s) says, through ``cut`` if given.  The buffers,
+    if given, are scratch of ``new``'s shape for the attractor and the cut.
     """
     cfg, attractor, keep = tail
     if attractor is not None:
@@ -212,7 +214,35 @@ def _finish(new, w, tail, iteration, scratch=None, *cut_buffers):
         a *= cfg.rho
         new -= a
     if keep is not None and iteration >= cfg.warmup_steps:
-        new[_below_cut(new, keep, *cut_buffers)] = 0
+        if cut is None:
+            new[_below_cut(new, keep, *cut_buffers)] = 0
+        else:
+            cut(new, keep, *cut_buffers)
+
+
+class _KeptCut:
+    """Hard-thresholds one (runs, taps) slice in place, cut where its last cut kept.
+
+    If exactly ``keep`` entries of each row reach the row's smallest kept
+    magnitude, it is :func:`_below_cut`'s cut, with the same mask; a NaN or
+    a tie fails that count, and the slice is sorted instead.
+    """
+
+    kept = np.empty(0, int)  # the flat indices of the entries the last cut kept
+
+    def __call__(self, v, keep, mags, srt, mask):
+        kept = self.kept
+        # each row keeps at least ``keep`` entries, so this size means exactly ``keep``
+        if kept.size == len(v) * keep:
+            cut = np.abs(v, out=mags).take(kept).reshape(-1, keep).min(axis=1, keepdims=True)
+            if np.count_nonzero(np.less(mags, cut, out=mask)) == v.size - kept.size:
+                values = v.take(kept)
+                v.fill(0)
+                v.put(kept, values)
+                return
+        below = _below_cut(v, keep, mags, srt, mask)
+        v[below] = 0
+        self.kept = np.flatnonzero(~below)
 
 
 def step(state, x, y, cfg):
@@ -253,6 +283,8 @@ class StackStepper:
     Row ``r`` of slice ``i`` gets :func:`step` under ``cfgs[i]`` bit for
     bit: the errors are 1xN by Nx1 ``matmul`` products, as in ``np.vdot``.
     A ``mu`` of one step size per run replaces the configs' own, bits unchanged.
+    Slices of at least ``REUSE_TAPS`` taps cut through a :class:`_KeptCut`:
+    on shorter rows, whose support moves most steps, the sort is cheaper.
     """
 
     def __init__(self, estimates, cfgs, mu=None):
@@ -263,12 +295,14 @@ class StackStepper:
         self._pair = [(b, list(b), (b if conj is None else conj)[..., None, :]) for b in bufs]
         err = np.empty((*w.shape[:2], 1, 1), w.dtype)
         self._err = err, err[..., 0], err[..., 0, 0]
-        # a shared step size stays a Python number: an (algorithms, 1, 1)
-        # column costs a few us a step
-        self._mu = cfgs[0].mu if mu is None else np.asarray(mu, float)[:, None]
-        if mu is None and any(cfg.mu != self._mu for cfg in cfgs):
-            self._mu = np.array([cfg.mu for cfg in cfgs])[:, None, None]
-        self._tails = [(i, t) for i, t in enumerate(map(_tail, cfgs)) if t is not None]
+        if mu is None:
+            mu = np.array([cfg.mu for cfg in cfgs])[:, None]
+        # an (algorithms, 1, 1) or (runs, 1) column costs a few us a step, so
+        # equal step sizes multiply as one Python number, with the same bits
+        mu = np.asarray(mu, float)[:, None]
+        self._mu = float(mu.flat[0]) if (mu == mu.flat[0]).all() else mu
+        cut = _KeptCut if w.shape[-1] >= REUSE_TAPS else lambda: None
+        self._tails = [(i, t, cut()) for i, t in enumerate(map(_tail, cfgs)) if t is not None]
         # the attractor, magnitudes, sorted magnitudes and mask of one slice
         mags = np.empty(w.shape[1:], w.real.dtype)
         self._scratch = np.empty_like(w[0]), mags, np.empty_like(mags), np.empty(mags.shape, bool)
@@ -286,8 +320,8 @@ class StackStepper:
         np.subtract(outputs, err_row, out=err_row)
         # inputs of the stack's rank: a (1, 1, 1) stack broadcast from (1, 1) rounds unlike step
         _gradient(w, err, inputs[None], self._mu, out=new)
-        for i, tail in self._tails:
-            _finish(new_rows[i], w_rows[i], tail, iteration, *self._scratch)
+        for i, tail, cut in self._tails:
+            _finish(new_rows[i], w_rows[i], tail, iteration, *self._scratch, cut=cut)
         self._pair.reverse()
         return new
 

@@ -17,6 +17,7 @@ Conventions used throughout:
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +125,13 @@ class IdentScenario:
             raise ValueError(f"signal_len must be >= 1, got {self.signal_len}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.tap_value) and self.tap_value != 0):
-            raise ValueError(f"tap_value must be finite and nonzero, got {self.tap_value}")
+        # the noise is calibrated from the truth's energy; math.fabs takes numbers only
+        energy = self.n_nonzero * math.fabs(self.tap_value) * math.fabs(self.tap_value)
+        if not sys.float_info.min <= energy < math.inf:
+            raise ValueError(
+                "tap_value must be finite and nonzero, and n_nonzero*tap_value**2 a "
+                f"normal float, got {self.tap_value}"
+            )
         _check_snr(self)
 
 

@@ -240,6 +240,31 @@ def test_unusable_snr_fails_cleanly(tmp_path, command, snr_db):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "tap_value,runs", [("1e200", False), ("1e155", False), ("1e-170", False),
+                       ("1e150", True), ("1e-150", True)],
+)
+def test_tap_value_energy_checked_before_any_draw(tmp_path, tap_value, runs):
+    # the truth's energy 28 * tap_value**2 must be a normal float: 1e155 overflows it,
+    # 1e-170 underflows it to zero
+    out = tmp_path / "res"
+    extra = SMALL_RUNS["ident"] if runs else []
+    argv = ["ident", *extra, "--runs", "1", "--tap-value", tap_value, "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(sparselms.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "sparselms.cli", *argv], env=env, capture_output=True, text=True
+    )
+    if runs:
+        assert done.returncode == 0 and done.stderr == ""
+        assert (out / "curves.csv").exists()
+        return
+    assert done.returncode == 1
+    (err,) = done.stderr.splitlines()
+    assert err.startswith("error: tap_value must be finite and nonzero")
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_overrides_flags(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

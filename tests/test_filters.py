@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from sparselms import (
     step,
     support,
 )
+from sparselms import filters
 from sparselms.filters import StackStepper
 
 
@@ -343,15 +346,28 @@ class TestStepRows:
             state, _ = step(FilterState(w[r].copy(), iteration), x[r], y[r], cfg)
             assert np.array_equal(rows[r], state.estimate)
 
-    @settings(max_examples=150, deadline=None)
-    @given(
+    MIXED = dict(
         dtype=st.sampled_from([float, complex]),
         n_taps=st.integers(2, 40),
         runs=st.integers(1, 6),
         iteration=st.integers(0, 8),
         data=st.data(),
     )
+
+    @settings(max_examples=150, deadline=None)
+    @given(**MIXED)
     def test_mixed_stack_is_scalar_steps(self, dtype, n_taps, runs, iteration, data):
+        self.check_mixed_stack(dtype, n_taps, runs, iteration, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**MIXED)
+    def test_mixed_stack_reusing_cuts_is_scalar_steps(self, dtype, n_taps, runs, iteration, data):
+        # every hard slice cuts through filters._KeptCut, however short its rows
+        with mock.patch.object(filters, "REUSE_TAPS", 1):
+            self.check_mixed_stack(dtype, n_taps, runs, iteration, data)
+
+    @staticmethod
+    def check_mixed_stack(dtype, n_taps, runs, iteration, data):
         # all seven variants in one stack, each with its own tuning
         order = data.draw(st.permutations(list(Algorithm)))
         cfgs = []
@@ -423,15 +439,29 @@ class TestStackStepper:
 
     HARD = (Algorithm.HARD_LMS, Algorithm.HARD_INIT_LMS, Algorithm.HARD_REL_LMS)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
+    CHAINED = dict(
         dtype=st.sampled_from([float, complex]),
         n_taps=st.integers(4, 24),
         runs=st.integers(1, 3),
         shared_mu=st.booleans(),
         data=st.data(),
     )
+
+    @settings(max_examples=25, deadline=None)
+    @given(**CHAINED)
     def test_every_step_is_chained_scalar_steps(self, dtype, n_taps, runs, shared_mu, data):
+        self.check_chained_steps(dtype, n_taps, runs, shared_mu, data)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**CHAINED)
+    def test_every_step_reusing_cuts_is_chained_scalar_steps(
+        self, dtype, n_taps, runs, shared_mu, data
+    ):
+        # every hard slice cuts through filters._KeptCut, however short its rows
+        with mock.patch.object(filters, "REUSE_TAPS", 1):
+            self.check_chained_steps(dtype, n_taps, runs, shared_mu, data)
+
+    def check_chained_steps(self, dtype, n_taps, runs, shared_mu, data):
         n_steps = 120
         order = data.draw(st.permutations(list(Algorithm)))
         # the hard variants' warm-ups end mid-run on consecutive updates,
@@ -483,6 +513,118 @@ class TestStackStepper:
             stack = stepper.step(rng.standard_normal((2, 6)), rng.standard_normal(2), n)
             assert not np.shares_memory(stack, w)
         assert np.array_equal(w, before)
+
+
+class TestKeptCut:
+    """Chained steps of slices that cut where their last cut kept (``REUSE_TAPS`` 1).
+
+    Zero inputs leave the estimates as they are, so that only the cut acts;
+    the input ``e_j`` with ``mu = 1`` adds ``conj(y - conj(w_j))`` to tap ``j``.
+    """
+
+    N_TAPS = 8
+
+    def chained(self, monkeypatch, cfg, w0, x, y):
+        """Step ``w0`` against chained scalar steps; returns the sorted cuts of each step."""
+        monkeypatch.setattr(filters, "REUSE_TAPS", 1)
+        calls, below_cut = [], filters._below_cut
+        monkeypatch.setattr(filters, "_below_cut", lambda *a: calls.append(a) or below_cut(*a))
+        stepper = StackStepper(np.asarray(w0)[None], [cfg])
+        states = [FilterState(np.array(row), 0) for row in w0]
+        sorts = []
+        for n in range(len(x)):
+            before = len(calls)
+            rows = stepper.step(x[n], y[n], n)[0]
+            sorts.append(len(calls) - before)
+            for r, state in enumerate(states):
+                states[r], _ = step(state, x[n, r], y[n, r], cfg)
+                assert np.array_equal(rows[r], states[r].estimate, equal_nan=True), (n, r)
+        return sorts, rows
+
+    def inputs(self, n_steps, dtype, *taps):
+        """Zero inputs, except ``e_j`` with output ``y`` at each ``(step, row, j, y)`` of ``taps``."""
+        x, y = np.zeros((n_steps, 2, self.N_TAPS), dtype), np.zeros((n_steps, 2), dtype)
+        for n, r, j, value in taps:
+            x[n, r, j], y[n, r] = 1, value
+        return x, y
+
+    def test_tie_at_the_cut_sorts_the_next_cut(self, monkeypatch):
+        assert np.abs(3 + 4j) == 5  # a tie in complex magnitude
+        cfg = FilterConfig("hard_lms", n_taps=self.N_TAPS, mu=1.0, sparsity=2)
+        w0 = np.zeros((2, self.N_TAPS), complex)
+        w0[0, :3] = 7, 5j, 0.5
+        w0[1, :3] = 1j, -4, 0.25
+        # step 2 sets tap 5 of row 0 to 3+4j, at the cut; step 4 sets it to 1
+        x, y = self.inputs(6, complex, (2, 0, 5, 3 - 4j), (4, 0, 5, 1))
+        sorts, _ = self.chained(monkeypatch, cfg, w0, x, y)
+        assert sorts == [1, 0, 1, 1, 1, 0]
+
+    def test_constant_modulus_row_keeps_every_tie(self, monkeypatch):
+        cfg = FilterConfig("hard_lms", n_taps=self.N_TAPS, mu=1.0, sparsity=2)
+        w0 = np.zeros((2, self.N_TAPS), complex)
+        w0[0] = 5, 5j, -5, 3 + 4j, 4 - 3j, -3 - 4j, -5j, 0  # seven taps of modulus 5
+        w0[1, :3] = 1j, -4, 0.25
+        sorts, rows = self.chained(monkeypatch, cfg, w0, *self.inputs(3, complex))
+        assert sorts == [1, 1, 1]
+        assert np.array_equal(rows[0], w0[0])
+
+    @pytest.mark.parametrize("tap,kept", [(1, True), (3, False)])
+    def test_nan_entering_a_tap_sorts(self, monkeypatch, tap, kept):
+        cfg = FilterConfig("hard_lms", n_taps=self.N_TAPS, mu=1.0, sparsity=2)
+        w0 = np.zeros((2, self.N_TAPS), complex)
+        w0[0, :3] = 7, 5j, 0.5
+        w0[1, :3] = 1j, -4, 0.25
+        x, y = self.inputs(4, complex)
+        # an error of 1e200*(1+1j) times an input of 1e200*(1+1j): inf - inf in one product
+        big = 1e200 * (1 + 1j)
+        x[2, 0, tap], y[2, 0] = big, big + np.conj(w0[0, tap]) * big
+        monkeypatch.setattr(filters, "REUSE_TAPS", 1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            stepper = StackStepper(w0[None], [cfg])
+            for n in range(3):
+                rows = stepper.step(x[n], y[n], n)[0]
+            assert np.isnan(rows[0]).sum() == 1 and np.isnan(rows[0, tap])
+            assert np.count_nonzero(rows[0]) == 2 and np.array_equal(rows[1], hard_threshold(w0[1], 2))
+            assert (w0[0, tap] != 0) == kept
+            sorts, rows = self.chained(monkeypatch, cfg, w0, x, y)
+        # the row's NaN error then spreads to every tap, which are all kept
+        assert sorts == [1, 0, 1, 1]
+        assert np.isnan(rows[0]).all()
+
+    def test_support_change_sorts_once(self, monkeypatch):
+        cfg = FilterConfig("hard_lms", n_taps=self.N_TAPS, mu=1.0, sparsity=2)
+        w0 = np.zeros((2, self.N_TAPS))
+        w0[0, :3] = 7, 5, 0.5
+        w0[1, :3] = 1, -4, 0.25
+        # tap 4 of row 0 rises to 6 and displaces tap 1; row 1 stays put
+        x, y = self.inputs(5, float, (2, 0, 4, 6.0))
+        sorts, rows = self.chained(monkeypatch, cfg, w0, x, y)
+        assert sorts == [1, 0, 1, 0, 0]
+        assert list(support(rows[0])) == [0, 4] and list(support(rows[1])) == [0, 1]
+
+    def test_warmup_boundary(self, monkeypatch):
+        cfg = FilterConfig("hard_init_lms", n_taps=self.N_TAPS, mu=1.0, sparsity=2, warmup_steps=3)
+        w0 = np.zeros((2, self.N_TAPS))
+        w0[0, :3] = 7, 5, 0.5
+        w0[1, :3] = 1, -4, 0.25
+        # tap 5 of row 1 rises to 3 during the warm-up
+        x, y = self.inputs(6, float, (1, 1, 5, 3.0))
+        sorts, rows = self.chained(monkeypatch, cfg, w0, x, y)
+        assert sorts == [0, 0, 0, 1, 0, 0]
+        assert list(support(rows[1])) == [1, 5]
+
+    def test_relaxed_keep_count(self, monkeypatch):
+        cfg = FilterConfig(
+            "hard_rel_lms", n_taps=self.N_TAPS, mu=1.0, sparsity=1, relaxed_sparsity=3
+        )
+        w0 = np.zeros((2, self.N_TAPS))
+        w0[0, :5] = 7, 5, 4, 0.5, 0.25
+        w0[1, :4] = 1, -4, 2, 3
+        # tap 6 of row 0 ties the third place, at 4; then tap 7 rises to 4.5
+        x, y = self.inputs(6, float, (1, 0, 6, 4.0), (3, 0, 7, 4.5))
+        sorts, rows = self.chained(monkeypatch, cfg, w0, x, y)
+        assert sorts == [1, 1, 1, 1, 0, 0]
+        assert list(support(rows[0])) == [0, 1, 7] and list(support(rows[1])) == [1, 2, 3]
 
 
 class TestRunStream:

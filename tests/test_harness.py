@@ -27,7 +27,7 @@ from sparselms import (
     theorem1_condition,
     theorem2_condition,
 )
-from sparselms import harness, recovery
+from sparselms import filters, harness, recovery
 from sparselms.harness import LearningCurve, SpectrumReport, _ident_block
 from sparselms.signals import esr, esr_db
 from sparselms.thresholding import hard_threshold, support
@@ -405,16 +405,24 @@ class TestRunSpectrumExperiment:
 
     def test_equals_tiled_stream_bit_for_bit(self):
         # the runner walks one drawn pass `passes` times; the reference
-        # steps run_stream over the stream tiled by the generator
-        sc = SpectrumScenario(full_len=64, n_tones=2, n_samples=24)
+        # steps run_stream over the stream tiled by the generator.  The three
+        # runs' step sizes are equal at full_len 64, so the stepper multiplies
+        # by one number, and take two values at 128, so it keeps a column.
+        for full_len, n_step_sizes in [(64, 1), (128, 2)]:
+            self.check_equals_tiled_stream(full_len, n_step_sizes)
+
+    @staticmethod
+    def check_equals_tiled_stream(full_len, n_step_sizes):
+        sc = SpectrumScenario(full_len=full_len, n_tones=2, n_samples=24)
         algorithms = [
-            FilterConfig("lms", n_taps=64, mu=1.0),
-            FilterConfig("hard_lms", n_taps=64, mu=1.0, sparsity=4),
+            FilterConfig("lms", n_taps=full_len, mu=1.0),
+            FilterConfig("hard_lms", n_taps=full_len, mu=1.0, sparsity=4),
         ]
         cfg = ExperimentConfig(scenario=sc, algorithms=algorithms, n_runs=3, passes=3)
         report = run_spectrum_experiment(cfg)
-        for run in range(3):
-            stream = gen_spectrum_stream(replace(sc, seed=run), passes=3)
+        streams = [gen_spectrum_stream(replace(sc, seed=run), passes=3) for run in range(3)]
+        assert len({step_size_from_stream(stream) for stream in streams}) == n_step_sizes
+        for run, stream in enumerate(streams):
             mu = step_size_from_stream(stream)
             true_support = support(stream.truth)
             s = true_support.size
@@ -451,6 +459,32 @@ class TestRunSpectrumExperiment:
             paths = emit_outputs(run_spectrum_experiment(cfg), tmp_path / str(cap), experiment=cfg)
             artifacts.append([path.read_bytes() for path in paths])
         assert all(a == artifacts[0] for a in artifacts)
+
+
+    def test_reused_cuts_leave_artifacts_unchanged(self, monkeypatch, tmp_path):
+        # default-size runs, whose hard slices cut where their last cut kept,
+        # against runs whose every cut sorts
+        sc = SpectrumScenario()
+        algorithms = [
+            FilterConfig("lms", n_taps=sc.full_len, mu=1.0, label="complex_lms"),
+            FilterConfig("hard_lms", n_taps=sc.full_len, mu=1.0, sparsity=20,
+                         label="complex_hard_lms"),
+        ]
+        cfg = ExperimentConfig(scenario=sc, algorithms=algorithms, n_runs=2, passes=3)
+        assert filters.REUSE_TAPS <= sc.full_len
+        calls, below_cut = [], filters._below_cut
+        monkeypatch.setattr(filters, "_below_cut", lambda *a: calls.append(a) or below_cut(*a))
+        artifacts = []
+        for reuse_taps in (filters.REUSE_TAPS, sc.full_len + 1):
+            monkeypatch.setattr(filters, "REUSE_TAPS", reuse_taps)
+            calls.clear()
+            report = run_spectrum_experiment(cfg)
+            paths = emit_outputs(report, tmp_path / str(reuse_taps), experiment=cfg)
+            artifacts.append(([path.read_bytes() for path in paths], len(calls)))
+        (reused, reused_sorts), (sorted_, sorts) = artifacts
+        assert reused == sorted_
+        # both passes after the warm-up pass cut every step
+        assert sorts == 2 * sc.n_samples and reused_sorts < sorts // 10
 
 
 class TestSpectrumClosedForms:

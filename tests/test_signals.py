@@ -57,6 +57,18 @@ class TestIdentScenario:
         with pytest.raises(ValueError, match="tap_value must be finite and nonzero"):
             IdentScenario(tap_value=tap_value)
 
+    @pytest.mark.parametrize("tap_value", [1e200, 1e155, -1e160, 1e-170, 1e-160])
+    def test_energy_out_of_range_names_tap_value(self, tap_value):
+        # the truth's energy 28 * tap_value**2 overflows, is subnormal or is zero
+        with pytest.raises(ValueError, match=r"tap_value .*n_nonzero\*tap_value\*\*2"):
+            IdentScenario(tap_value=tap_value)
+
+    @pytest.mark.parametrize("tap_value", [1e150, -1e150, 1e-150, 5e-154])
+    def test_energy_in_range_accepted(self, tap_value):
+        sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=20, tap_value=tap_value)
+        truth = gen_ident_stream(sc).truth
+        assert np.isfinite(np.sum(truth**2)) and np.sum(truth**2) > 0
+
     def test_infinite_snr_means_noiseless(self):
         sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=20, snr_db=np.inf)
         stream = gen_ident_stream(sc)
