@@ -3,9 +3,9 @@
 Runs the two benchmark experiments (sparse identification and
 undersampled spectrum estimation) over seeded Monte Carlo repetitions and
 writes deterministic CSV/JSON artifacts.  Per-run seeds are always
-``base_seed + run_index``.  Both experiments step blocks of consecutive
-runs as (algorithms, runs, taps) stacks, each through one
-``filters.StackStepper`` that updates it in place.  Blocks may execute on
+``base_seed + run_index``.  Both step blocks of consecutive runs through
+one loop, each block one (algorithms, runs, taps) stack that a
+``filters.StackStepper`` updates in place.  Blocks may execute on
 parallel workers and are aggregated in run-index order, so outputs are
 byte-identical for any worker count and block size.
 """
@@ -13,6 +13,7 @@ byte-identical for any worker count and block size.
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
@@ -149,22 +150,43 @@ class SpectrumReport:
     true_bin_means: dict
 
 
-def _ident_inputs(scenario, seeds):
-    """Inputs (runs, L+N-1), outputs (L, runs) and true taps (runs, N).
+def _stack(cfg, runs):
+    """Draw the runs ``range(*runs)`` of ``cfg`` and step them as one (algorithms, runs, taps) stack.
 
-    The tap-delay window of step ``n`` is ``[u(n), ..., u(n-N+1)]``.
-    Storing each run's zero-padded ``u`` reversed makes the windows of all
-    runs at step ``n`` the (runs, taps) slice ``[:, L-1-n : L-1-n+N]``,
-    so no (L, N) window matrix is ever built.
+    Returns ``(truths, updates)``: the (runs, taps) true vectors and a
+    generator of ``(n, w)``, ``w`` the stack after update ``n``, which the
+    update after next overwrites.  Identification steps its samples once.
+    Spectrum steps them ``cfg.passes`` times, each run at its own step size
+    1/||x||^2 and with no thresholding during the first pass; its rows are
+    gathered from the root table through a (samples, runs, full_len) index
+    of the smallest unsigned dtype.
     """
-    inputs, outputs, truths = [], [], []
-    for seed in seeds:
-        windows, y, truth = _ident_draw(replace(scenario, seed=seed))
-        # column 0 of the windows is u itself
-        inputs.append(np.concatenate([np.zeros(scenario.n_taps - 1), windows[:, 0]])[::-1])
-        outputs.append(y)
-        truths.append(truth)
-    return np.array(inputs), np.array(outputs).T.copy(), np.array(truths)
+    sc, seeds = cfg.scenario, range(cfg.base_seed + runs[0], cfg.base_seed + runs[1])
+    algorithms, mu, passes = cfg.algorithms, None, 1
+    if isinstance(sc, IdentScenario):
+        M, N = sc.signal_len, sc.n_taps
+        # u reversed, then zero-padded: the windows [u(n), ..., u(n-N+1)] of all runs
+        # are the (runs, taps) slice [:, M-1-n : M-1-n+N] of one contiguous array
+        inputs, outputs = np.zeros((len(seeds), M + N - 1)), np.empty((M, len(seeds)))
+        truths = np.empty((len(seeds), N))
+        for r, seed in enumerate(seeds):
+            windows, outputs[:, r], truths[r] = _ident_draw(replace(sc, seed=seed))
+            inputs[r, :M] = windows[::-1, 0]  # column 0 of the windows is u itself
+        rows = lambda n: inputs[:, M - 1 - n : M - 1 - n + N]
+    else:
+        L, M = sc.full_len, sc.n_samples
+        table, keys = _root_table(L), np.arange(L, dtype=np.min_scalar_type(L - 1))
+        index, outputs = np.empty((M, len(seeds), L), keys.dtype), np.empty((M, len(seeds)))
+        truths = np.empty((len(seeds), L), complex)
+        for r, seed in enumerate(seeds):
+            outputs[:, r], truths[r] = _spectrum_draw(replace(sc, seed=seed), keys, index[:, r])
+        # each run's 1/||x||^2, with the bits step_size_from_stream gives on its rows
+        mu = 1.0 / np.sum(np.abs(table[index[0]]) ** 2, axis=1)
+        algorithms, passes = [replace(a, warmup_steps=M) for a in algorithms], cfg.passes
+        x = np.empty((len(seeds), L), complex)
+        rows = lambda n: np.take(table, index[n], out=x, mode="clip")
+    stepper = StackStepper(np.zeros((len(algorithms), *truths.shape), truths.dtype), algorithms, mu)
+    return truths, ((n, stepper.step(rows(n % M), outputs[n % M], n)) for n in range(passes * M))
 
 
 def _ident_block(cfg, runs):
@@ -179,17 +201,13 @@ def _ident_block(cfg, runs):
     None for other blocks.  Raises ValueError naming the first diverging
     algorithm.
     """
-    start, stop = runs
-    inputs, outputs, truths = _ident_inputs(
-        cfg.scenario, range(cfg.base_seed + start, cfg.base_seed + stop)
-    )
-    n_steps, n_taps = outputs.shape[0], cfg.scenario.n_taps
+    truths, updates = _stack(cfg, runs)
+    n_steps, n_taps = cfg.scenario.signal_len, cfg.scenario.n_taps
     denom = np.sum(np.abs(truths) ** 2, axis=1)
     algorithms = cfg.algorithms
-    stepper = StackStepper(np.zeros((len(algorithms), stop - start, n_taps)), algorithms)
-    diff = np.empty((len(algorithms), stop - start, n_taps))
-    esr = np.empty((len(algorithms), stop - start, n_steps))
-    diagnostics = {a.label: [] for a in algorithms} if start == 0 else None
+    diff = np.empty((len(algorithms), *truths.shape))
+    esr = np.empty((len(algorithms), len(truths), n_steps))
+    diagnostics = {a.label: [] for a in algorithms} if runs[0] == 0 else None
     iterations = []
     if diagnostics is not None:
         # one reused (algorithms, snapshots, taps) buffer, so that each
@@ -198,9 +216,7 @@ def _ident_block(cfg, runs):
         snapshots = np.empty((len(algorithms), chunk, n_taps))
     # divergence is reported below, from the ESR, instead of as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            lead = n_steps - 1 - n
-            w = stepper.step(inputs[:, lead : lead + n_taps], outputs[n], n)
+        for n, w in updates:
             # summed row by row like signals.esr, with the same bits
             np.subtract(w, truths, out=diff)
             np.square(diff, out=diff).sum(axis=-1, out=esr[:, :, n])
@@ -221,7 +237,7 @@ def _ident_block(cfg, runs):
         # the first diverging algorithm in roster order, then its first run
         i, row = np.argwhere(bad.any(axis=2))[0]
         raise ValueError(
-            f"algorithms[{algorithms[i].label}]: run {start + row} diverged, its ESR is "
+            f"algorithms[{algorithms[i].label}]: run {runs[0] + row} diverged, its ESR is "
             f"non-finite from iteration {int(np.argmax(bad[i, row])) + 1}; reduce mu"
         )
     return dict(zip((a.label for a in algorithms), esr)), diagnostics
@@ -231,16 +247,20 @@ def _map_blocks(fn, n_runs, size, max_workers):
     """``fn`` over blocks ``(start, stop)`` of consecutive runs, on up to ``max_workers`` processes.
 
     Blocks of at most ``size`` runs are split evenly over the workers; results
-    are yielded in run order whichever worker finishes first.
+    are yielded in run order whichever worker finishes first.  No more
+    processes are opened than blocks, nor than CPUs this process may run on.
     """
     size = min(size, math.ceil(n_runs / max_workers))
     blocks = [(b, min(b + size, n_runs)) for b in range(0, n_runs, size)]
-    if max_workers <= 1 or len(blocks) == 1:
+    # a pool forks all its processes when the first block is submitted
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(max_workers, len(blocks), cpus or 1)
+    if workers <= 1:
         yield from map(fn, blocks)
         return
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
-    with ProcessPoolExecutor(max_workers=min(max_workers, len(blocks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, blocks)
 
 
@@ -308,28 +328,11 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
 
 
 def _spectrum_block(cfg, runs):
-    """``(truth, {label: final estimate})`` of each run in ``range(*runs)``, stepped as one stack.
-
-    The rows are gathered from the root table through a (samples, runs,
-    full_len) index of the smallest unsigned dtype.
-    """
-    sc, seeds = cfg.scenario, range(cfg.base_seed + runs[0], cfg.base_seed + runs[1])
-    L, M = sc.full_len, sc.n_samples
-    table, keys = _root_table(L), np.arange(L, dtype=np.min_scalar_type(L - 1))
-    index, outputs = np.empty((M, len(seeds), L), keys.dtype), np.empty((M, len(seeds)))
-    truths = []
-    for r, seed in enumerate(seeds):
-        outputs[:, r], truth = _spectrum_draw(replace(sc, seed=seed), keys, index[:, r])
-        truths.append(truth)
-    # each run's 1/||x||^2, with the bits step_size_from_stream gives on its rows
-    mu = 1.0 / np.sum(np.abs(table[index[0]]) ** 2, axis=1)
-    # no thresholding during the first pass over the samples
-    algorithms = [replace(a, warmup_steps=M) for a in cfg.algorithms]
-    stepper = StackStepper(np.zeros((len(algorithms), len(seeds), L), complex), algorithms, mu)
-    x = np.empty((len(seeds), L), complex)
-    for n in range(cfg.passes * M):
-        w = stepper.step(np.take(table, index[n % M], out=x, mode="clip"), outputs[n % M], n)
-    return [(t, {a.label: est[r] for a, est in zip(algorithms, w)}) for r, t in enumerate(truths)]
+    """``(truth, {label: final estimate})`` of each run in ``range(*runs)``, stepped as one stack."""
+    truths, updates = _stack(cfg, runs)
+    for _, w in updates:
+        pass
+    return [(t, {a.label: est[r] for a, est in zip(cfg.algorithms, w)}) for r, t in enumerate(truths)]
 
 
 def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):

@@ -240,6 +240,25 @@ def test_unusable_snr_fails_cleanly(tmp_path, command, snr_db):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_diverging_run_prints_no_numpy_warning(tmp_path, workers):
+    # a child process, so that NumPy's overflow warnings would reach its stderr; two runs,
+    # so that two workers step them in a pool where there are two CPUs
+    out = tmp_path / "res"
+    argv = ["ident", "--runs", "2", "--mu", "0.5", "--signal-len", "400", "--algorithms", "lms",
+            "--workers", workers, "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(sparselms.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "sparselms.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 1
+    warning, error = done.stderr.splitlines()
+    assert warning.startswith("warning: mu 0.5 exceeds the mean-square stability bound")
+    assert error.startswith("error: algorithms[lms]: run 0 diverged, its ESR is non-finite")
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "tap_value,runs", [("1e200", False), ("1e155", False), ("1e-170", False),
                        ("1e150", True), ("1e-150", True)],

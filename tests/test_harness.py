@@ -189,6 +189,43 @@ class TestWorkerCount:
         report = run_spectrum_experiment(small_spectrum_config(n_runs=1), max_workers=np.int32(1))
         assert report.n_runs == 1
 
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        # a pool forks all its processes at once: no more than the CPUs this process may use
+        import concurrent.futures
+        import os
+
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # the partition stays the one asked for: 64 one-run blocks
+        assert list(harness._map_blocks(tuple, 64, 48, 64)) == [(r, r + 1) for r in range(64)]
+        assert list(harness._map_blocks(tuple, 9, 8, 3)) == [(0, 3), (3, 6), (6, 9)]
+        assert opened == [2, 2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert list(harness._map_blocks(tuple, 9, 8, 3)) == [(0, 3), (3, 6), (6, 9)]
+        assert opened == [2, 2]  # one usable CPU: no pool
+        # without sched_getaffinity the CPU count caps the pool
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert list(harness._map_blocks(tuple, 10, 48, 5)) == [(r, r + 2) for r in range(0, 10, 2)]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert list(harness._map_blocks(tuple, 4, 48, 4)) == [(r, r + 1) for r in range(4)]
+        assert opened == [2, 2, 3]
+
 
 class TestRunIdentExperiment:
     def test_curve_shapes(self):
@@ -445,6 +482,26 @@ class TestRunSpectrumExperiment:
         assert a.per_run_hit_rates == b.per_run_hit_rates
         for label in a.estimate_magnitudes:
             assert np.array_equal(a.estimate_magnitudes[label], b.estimate_magnitudes[label])
+
+    @settings(max_examples=15, deadline=None)
+    @given(n_runs=st.integers(1, 7), passes=st.integers(1, 3), data=st.data())
+    def test_rows_independent_of_random_block_shapes(self, n_runs, passes, data):
+        # at one pass nothing is ever thresholded
+        cfg = replace(
+            small_spectrum_config(n_runs=n_runs), passes=passes,
+            base_seed=data.draw(st.integers(0, 10**6)),
+        )
+        cuts = data.draw(st.sets(st.integers(1, n_runs - 1))) if n_runs > 1 else set()
+        bounds = [0, *sorted(cuts), n_runs]
+        parts = [run for b in zip(bounds, bounds[1:]) for run in harness._spectrum_block(cfg, b)]
+        whole = harness._spectrum_block(cfg, (0, n_runs))
+        for runs in (parts, whole):
+            assert len(runs) == n_runs
+        for label in ("complex_lms", "complex_hard_lms"):
+            final = [np.array([est[label] for _, est in runs]) for runs in (parts, whole)]
+            assert final[0].tobytes() == final[1].tobytes(), label
+        truths = [np.array([truth for truth, _ in runs]) for runs in (parts, whole)]
+        assert truths[0].tobytes() == truths[1].tobytes()
 
     def test_block_size_leaves_artifacts_unchanged(self, monkeypatch, tmp_path):
         # the runners' one partition: 9 runs in blocks of 8 + 1 at one

@@ -5,15 +5,18 @@ import pytest
 
 from helpers import traced_peak, whole_matrix_ident_stream, whole_matrix_spectrum_stream
 from sparselms import (
+    ExperimentConfig,
+    FilterConfig,
     IdentScenario,
     SpectrumScenario,
     esr,
     esr_db,
     gen_ident_stream,
     gen_spectrum_stream,
+    run_stream,
     support,
 )
-from sparselms.harness import _ident_inputs
+from sparselms.harness import _stack
 from sparselms.signals import WINDOW_ROWS, _ident_draw
 
 
@@ -183,18 +186,25 @@ class TestChunkedIdentDraw:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
     def test_harness_inputs_match(self):
+        # each run's slice of the harness stack steps on the whole-matrix stream's windows
+        # and outputs: plain LMS rows equal run_stream on that stream at every update
         scenario = IdentScenario(n_taps=64, n_nonzero=5, signal_len=129)
-        inputs, outputs, truths = _ident_inputs(scenario, range(3, 6))
-        for r, seed in enumerate(range(3, 6)):
-            want = whole_matrix_ident_stream(replace(scenario, seed=seed))
-            padded = np.concatenate([np.zeros(63), want.inputs[:, 0]])
-            assert inputs[r].tobytes() == padded[::-1].tobytes()
-            assert outputs[:, r].tobytes() == want.outputs.tobytes()
+        lms = FilterConfig("lms", n_taps=64, mu=0.01)
+        truths, updates = _stack(ExperimentConfig(scenario, [lms], base_seed=3), (0, 3))
+        wants = [whole_matrix_ident_stream(replace(scenario, seed=seed)) for seed in range(3, 6)]
+        estimates = [run_stream(lms, want)[0] for want in wants]
+        for n, w in updates:
+            for r in range(3):
+                assert w[0, r].tobytes() == estimates[r][n].tobytes(), (n, r)
+        assert n == 128
+        for r, want in enumerate(wants):
             assert truths[r].tobytes() == want.truth.tobytes()
 
     def test_harness_never_builds_a_window_matrix(self):
-        # one (2000, 256) window matrix is 4.1 MB; six runs need ~0.55 MB without one
-        _, peak = traced_peak(_ident_inputs, IdentScenario(), range(6))
+        # one (2000, 256) window matrix is 4.1 MB; six runs need ~0.46 MB without one
+        cfg = ExperimentConfig(IdentScenario(), [FilterConfig("lms", n_taps=256, mu=0.005)])
+        _stack(cfg, (0, 1))  # a first draw in the process allocates ~0.8 MB once
+        _, peak = traced_peak(_stack, cfg, (0, 6))
         assert peak < 1_000_000
 
 
