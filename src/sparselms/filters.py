@@ -162,8 +162,8 @@ def _reweighted_sign(w, cfg, out, mags=None, *_):
 # with besides n_taps and mu.  The attractors are the uniform sign (ZA), the
 # sign reweighted by ``1/(1 + epsilon*|w|)`` so established taps keep most of
 # their value (RZA), and the sign pattern outside the top-``s`` support of the
-# estimate *before* the gradient step (SZA).  Their sign terms are defined for
-# real estimates only: NumPy 2.0 changed np.sign for complex input.
+# estimate *before* the gradient step (SZA).  On complex estimates np.sign is
+# w/|w|, 0 at 0 (NumPy 2.0 and later).
 _VARIANTS = {
     Algorithm.LMS: (None, None, ()),
     Algorithm.ZA_LMS: (lambda w, cfg, out, *_: np.sign(w, out=out), None, ("rho",)),
@@ -174,7 +174,6 @@ _VARIANTS = {
     Algorithm.HARD_INIT_LMS: (None, "sparsity", ("sparsity", "warmup_steps")),
     Algorithm.HARD_REL_LMS: (None, "relaxed_sparsity", ("sparsity", "relaxed_sparsity")),
 }
-ATTRACTING = frozenset(a for a, (attractor, *_) in _VARIANTS.items() if attractor is not None)
 # each variant's configured fields, by algorithm name
 PARAMETERS = {a.value: fields for a, (*_, fields) in _VARIANTS.items()}
 
@@ -282,12 +281,12 @@ class StackStepper:
     :meth:`step` swaps, one scratch set and each slice's :func:`_tail`.
     Row ``r`` of slice ``i`` gets :func:`step` under ``cfgs[i]`` bit for
     bit: the errors are 1xN by Nx1 ``matmul`` products, as in ``np.vdot``.
-    A ``mu`` of one step size per run replaces the configs' own, bits unchanged.
+    A ``scale``, one number or one per run, multiplies each config's ``mu``.
     Slices of at least ``REUSE_TAPS`` taps cut through a :class:`_KeptCut`:
     on shorter rows, whose support moves most steps, the sort is cheaper.
     """
 
-    def __init__(self, estimates, cfgs, mu=None):
+    def __init__(self, estimates, cfgs, scale=1.0):
         w = np.array(estimates)
         conj = self._conj = np.empty_like(w) if np.iscomplexobj(w) else None
         bufs = w, np.empty_like(w)
@@ -295,11 +294,9 @@ class StackStepper:
         self._pair = [(b, list(b), (b if conj is None else conj)[..., None, :]) for b in bufs]
         err = np.empty((*w.shape[:2], 1, 1), w.dtype)
         self._err = err, err[..., 0], err[..., 0, 0]
-        if mu is None:
-            mu = np.array([cfg.mu for cfg in cfgs])[:, None]
-        # an (algorithms, 1, 1) or (runs, 1) column costs a few us a step, so
-        # equal step sizes multiply as one Python number, with the same bits
-        mu = np.asarray(mu, float)[:, None]
+        # an (algorithms, runs, 1) column costs a few us a step, so equal
+        # step sizes multiply as one Python number, with the same bits
+        mu = np.multiply.outer([cfg.mu for cfg in cfgs], scale).reshape(len(cfgs), -1, 1)
         self._mu = float(mu.flat[0]) if (mu == mu.flat[0]).all() else mu
         cut = _KeptCut if w.shape[-1] >= REUSE_TAPS else lambda: None
         self._tails = [(i, t, cut()) for i, t in enumerate(map(_tail, cfgs)) if t is not None]

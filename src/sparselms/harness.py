@@ -12,7 +12,6 @@ byte-identical for any worker count and block size.
 
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import ATTRACTING, StackStepper
+from .filters import StackStepper
 from .recovery import _top_mask, certify_rows
 from .signals import (
     IdentScenario,
@@ -29,6 +28,7 @@ from .signals import (
     _ident_draw,
     _root_table,
     _spectrum_draw,
+    check_count,
     check_counts,
 )
 from .thresholding import hard_threshold, support
@@ -73,11 +73,11 @@ class ExperimentConfig:
     """A full experiment: scenario, algorithm roster and run bookkeeping.
 
     The scenario's own seed is ignored by the runners; run r uses
-    ``base_seed + r`` instead.  ``snapshot_every`` defaults to
-    ``SNAPSHOT_EVERY``, or to ``signal_len`` for a shorter identification
-    scenario.  ``passes`` only applies to spectrum scenarios (retraining
-    sweeps over the same samples).  The fields stay assignable, so the
-    runners call :meth:`validate` again before drawing any stream.
+    ``base_seed + r`` instead.  Identification owns ``snapshot_every``
+    (default ``SNAPSHOT_EVERY``, at most ``signal_len``) and keeps ``passes``
+    at 1; spectrum owns ``passes`` (default 10) and keeps ``snapshot_every``
+    None.  The fields stay assignable, so the runners call :meth:`validate`
+    again before drawing any stream.
     """
 
     scenario: IdentScenario | SpectrumScenario
@@ -85,22 +85,29 @@ class ExperimentConfig:
     n_runs: int = 1
     base_seed: int = 0
     snapshot_every: int | None = None
-    passes: int = 10
+    passes: int | None = None
 
     def __post_init__(self):
-        if self.snapshot_every is None:
-            cap = self.scenario.signal_len if isinstance(self.scenario, IdentScenario) else math.inf
-            self.snapshot_every = min(SNAPSHOT_EVERY, cap)
+        ident = isinstance(self.scenario, IdentScenario)
+        if self.snapshot_every is None and ident:
+            self.snapshot_every = min(SNAPSHOT_EVERY, self.scenario.signal_len)
+        if self.passes is None:
+            self.passes = 1 if ident else 10
         self.validate()
 
     def validate(self):
         """Raise ValueError naming the first field that no runner accepts."""
-        check_counts(self, "n_runs", "base_seed", "snapshot_every", "passes")
+        ident = isinstance(self.scenario, IdentScenario)
+        if ident and self.passes != 1:
+            raise ValueError(f"passes: identification steps its samples once, got {self.passes}")
+        if not ident and self.snapshot_every is not None:
+            raise ValueError(f"snapshot_every: spectrum has no diagnostics, got {self.snapshot_every}")
+        check_counts(self, "n_runs", "base_seed", "passes", optional=("snapshot_every",))
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.snapshot_every < 1:
+        if ident and (self.snapshot_every is None or self.snapshot_every < 1):
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
@@ -155,14 +162,14 @@ def _stack(cfg, runs):
 
     Returns ``(truths, updates)``: the (runs, taps) true vectors and a
     generator of ``(n, w)``, ``w`` the stack after update ``n``, which the
-    update after next overwrites.  Identification steps its samples once.
-    Spectrum steps them ``cfg.passes`` times, each run at its own step size
-    1/||x||^2 and with no thresholding during the first pass; its rows are
-    gathered from the root table through a (samples, runs, full_len) index
-    of the smallest unsigned dtype.
+    update after next overwrites.  Every run steps its samples ``cfg.passes``
+    times.  A spectrum run multiplies each ``mu`` by its 1/||x||^2 and counts
+    its updates from -n_samples, so hard variants threshold after
+    ``warmup_steps + n_samples``; its rows are gathered from the root table
+    through a (samples, runs, full_len) index of the smallest unsigned dtype.
     """
     sc, seeds = cfg.scenario, range(cfg.base_seed + runs[0], cfg.base_seed + runs[1])
-    algorithms, mu, passes = cfg.algorithms, None, 1
+    scale, first = 1.0, 0
     if isinstance(sc, IdentScenario):
         M, N = sc.signal_len, sc.n_taps
         # u reversed, then zero-padded: the windows [u(n), ..., u(n-N+1)] of all runs
@@ -181,12 +188,13 @@ def _stack(cfg, runs):
         for r, seed in enumerate(seeds):
             outputs[:, r], truths[r] = _spectrum_draw(replace(sc, seed=seed), keys, index[:, r])
         # each run's 1/||x||^2, with the bits step_size_from_stream gives on its rows
-        mu = 1.0 / np.sum(np.abs(table[index[0]]) ** 2, axis=1)
-        algorithms, passes = [replace(a, warmup_steps=M) for a in algorithms], cfg.passes
+        scale, first = 1.0 / np.sum(np.abs(table[index[0]]) ** 2, axis=1), -M
         x = np.empty((len(seeds), L), complex)
         rows = lambda n: np.take(table, index[n], out=x, mode="clip")
-    stepper = StackStepper(np.zeros((len(algorithms), *truths.shape), truths.dtype), algorithms, mu)
-    return truths, ((n, stepper.step(rows(n % M), outputs[n % M], n)) for n in range(passes * M))
+    stack = np.zeros((len(cfg.algorithms), *truths.shape), truths.dtype)
+    stepper = StackStepper(stack, cfg.algorithms, scale)
+    steps = range(first, first + cfg.passes * M)
+    return truths, ((n, stepper.step(rows(n % M), outputs[n % M], n)) for n in steps)
 
 
 def _ident_block(cfg, runs):
@@ -280,20 +288,12 @@ def _check_config(cfg, scenario_type, max_workers=1):
                 f"algorithms[{a.label}].n_taps ({a.n_taps}) must equal "
                 f"scenario.{length} ({n_taps})"
             )
-        # the sign attractors are defined for real estimates only
-        if spectrum and a.algorithm in ATTRACTING:
-            raise ValueError(
-                f"algorithms[{a.label}]: {a.algorithm.value} has no complex variant; "
-                "spectrum experiments support lms and the hard_lms family"
-            )
     if not spectrum and cfg.snapshot_every > cfg.scenario.signal_len:
         raise ValueError(
             f"snapshot_every ({cfg.snapshot_every}) must not exceed signal_len "
             f"({cfg.scenario.signal_len}), or run 0 gets no diagnostics"
         )
-    # as in the count fields, bool is rejected and NumPy integers pass
-    workers_ok = isinstance(max_workers, numbers.Integral) and not isinstance(max_workers, bool)
-    if not (workers_ok and max_workers >= 1):
+    if check_count("max_workers", max_workers) < 1:
         raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
 
 
@@ -338,12 +338,12 @@ def _spectrum_block(cfg, runs):
 def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     """Run the undersampled spectrum experiment and build a report.
 
-    The step size is 1/||x||^2 of each run's own input rows; hard-threshold
-    variants skip thresholding during the first pass.  Blocks of runs step
+    Each filter steps at its ``mu`` times 1/||x||^2 of the run's own input
+    rows, the normalised step, and a hard-threshold variant thresholds
+    after ``warmup_steps + n_samples`` updates.  Blocks of runs step
     through one :class:`~sparselms.filters.StackStepper` each.  Each filter
     is scored by where its final estimate puts the top-s bins, s being the
-    true spectrum's support size.  The zero-attracting variants are
-    rejected: their sign attractors are real-only.
+    true spectrum's support size.
     """
     _check_config(cfg, SpectrumScenario, max_workers)
     size = max(1, SPECTRUM_BLOCK_ENTRIES // cfg.scenario.full_len)

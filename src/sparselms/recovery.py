@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import check_count
 from .thresholding import hard_threshold
 
 __all__ = [
@@ -102,7 +103,7 @@ def certify_rows(w_true, estimates, d=None):
         raise ValueError(f"shape mismatch: {w.shape} vs {est.shape}")
     n = w.shape[0]
     true_mask = w != 0
-    s = np.count_nonzero(true_mask)
+    s = int(np.count_nonzero(true_mask))
     if s == 0:
         raise ValueError("true vector must have at least one nonzero entry")
     q = float(np.abs(w[true_mask]).min())
@@ -120,7 +121,7 @@ def certify_rows(w_true, estimates, d=None):
             if np.count_nonzero(kept != true_mask):
                 raise RuntimeError("exact-support guarantee violated; threshold operator is broken")
     else:
-        tau = int(d) - s
+        tau = check_count("d", d) - s
         if tau <= 0 or d >= n:
             raise ValueError(f"d must satisfy s < d < len(w), got d={d} with s={s}, len={n}")
         holds = error_sq <= q * q * (1.0 - 1.0 / (tau + 2))
@@ -161,7 +162,7 @@ def theorem2_condition(w_true, w_hat, d):
     support; this is verified before returning.  The one-row case of
     :func:`certify_rows`.
     """
-    return _certify_one(w_true, w_hat, d)
+    return _certify_one(w_true, w_hat, check_count("d", d))
 
 
 def ser_lower_bound(s, tau=None):
@@ -170,11 +171,11 @@ def ser_lower_bound(s, tau=None):
     Returns ``2 s`` for the exact-support condition and the looser
     ``s / (1 - 1/(tau+2))`` when a relaxation ``tau`` is given.
     """
-    if s < 1:
+    if check_count("s", s) < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if tau is None:
         return 2.0 * s
-    if tau < 1:
+    if check_count("tau", tau) < 1:
         raise ValueError(f"tau must be >= 1 when given, got {tau}")
     return s / (1.0 - 1.0 / (tau + 2))
 
@@ -203,7 +204,7 @@ def batch_iht(A, y, s, mu, iters, return_history=False):
     """Iterative hard thresholding for the batch model y = A w.
 
     Starts from the zero vector and iterates
-    ``w <- H_s(w + mu * A^H (y - A w))`` for ``iters`` iterations.  Real
+    ``w <- H_s(w + mu * A^H (y - A w))`` for ``iters >= 0`` iterations.  Real
     measurement matrices use the plain transpose; complex ones the
     conjugate transpose.
 
@@ -224,6 +225,8 @@ def batch_iht(A, y, s, mu, iters, return_history=False):
         raise ValueError(f"y must have shape ({n_meas},), got {y.shape}")
     if n_meas < 1:
         raise ValueError("at least one measurement row is required")
+    if check_count("iters", iters) < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     dtype = np.result_type(A.dtype, y.dtype, float)
     rows = [A[m] for m in range(n_meas)]
     conj_rows = [np.conj(A[m]) for m in range(n_meas)]

@@ -34,23 +34,25 @@ __all__ = [
 ]
 
 
-def check_counts(obj, *names, optional=()):
-    """Require each named field of ``obj`` to be an integer.
+def check_count(name, value):
+    """``value`` as an ``int``; ValueError naming ``name`` for ``bool``, ``2.0`` or a non-number."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
-    Fields listed in ``optional`` may also be None.  NumPy integers are
-    accepted and stored as ``int``; ``bool`` and integral floats such as
-    ``2.0`` are not.  Raises ValueError naming the first field that fails.
+
+def check_counts(obj, *names, optional=()):
+    """Store each named field of ``obj`` through :func:`check_count`; ``optional`` ones may be None.
+
+    NumPy integers are accepted.  Raises ValueError naming the first field that fails.
     """
     for name in (*names, *optional):
         value = getattr(obj, name)
-        if value is None and name in optional:
-            continue
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            setattr(obj, name, operator.index(value))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if value is not None or name not in optional:
+            setattr(obj, name, check_count(name, value))
 
 
 def _check_snr(sc):
@@ -240,7 +242,7 @@ def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStr
     root table, with the noisy sample there, and the whole sample set is
     repeated ``passes`` times in the same order to support retraining.
     """
-    if passes < 1:
+    if check_count("passes", passes) < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
     rows = np.empty((sc.n_samples, sc.full_len), dtype=complex)
     samples, truth = _spectrum_draw(sc, _root_table(sc.full_len), rows)

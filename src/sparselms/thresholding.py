@@ -8,6 +8,8 @@ Both are pure functions shared by every adaptive filter in this package.
 
 import numpy as np
 
+from .signals import check_count
+
 __all__ = ["support", "hard_threshold", "penalty_mask"]
 
 
@@ -55,7 +57,7 @@ def hard_threshold(v, s, out=None):
     """
     v = np.asarray(v)
     n = v.shape[-1]
-    if not 1 <= s <= n:
+    if not 1 <= check_count("s", s) <= n:
         raise ValueError(f"s must satisfy 1 <= s <= {n}, got {s}")
     if out is None:
         out = v.copy()
@@ -107,6 +109,6 @@ def penalty_mask(v, s):
     """
     v = np.asarray(v)
     n = v.shape[-1]
-    if not 1 <= s < n:
+    if not 1 <= check_count("s", s) < n:
         raise ValueError(f"s must satisfy 1 <= s < {n}, got {s}")
     return _penalty(v, s)

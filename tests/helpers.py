@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from sparselms import FilterConfig, MeasurementStream, run_stream
-from sparselms.signals import _tone_bins
+from sparselms.signals import _ident_draw, _tone_bins
 
 
 def traced_peak(fn, *args):
@@ -276,3 +276,38 @@ def ref_json_safe(obj):
     if isinstance(obj, complex):
         return {"re": ref_json_safe(obj.real), "im": ref_json_safe(obj.imag)}
     return obj
+
+
+def calibrated_noise_var(sc):
+    """The noise variance an identification draw of ``sc`` adds to its clean output.
+
+    ``snr_db`` below the clean output's analytic power for unit-variance
+    white input, whose zero-padded start lowers the weight of lag ``k`` to
+    ``(signal_len - k) / signal_len``.
+    """
+    w = _ident_draw(sc)[2]
+    weights = np.clip(sc.signal_len - np.arange(sc.n_taps), 0, None) / sc.signal_len
+    return float(np.sum(w * w * weights)) / 10.0 ** (sc.snr_db / 10.0)
+
+
+def lms_msd(mu, n_active, noise_var, msd0, steps):
+    """Independence-theory MSD ``E||w - w_hat||^2`` after each of ``steps`` LMS updates.
+
+    For white Gaussian unit-variance input and ``n_active`` adapting taps,
+    ``m <- (1 - 2 mu + mu^2 (K + 2)) m + mu^2 K noise_var`` from ``m =
+    msd0`` (Feuer & Weinstein, IEEE TASSP 1985; Sayed, *Fundamentals of
+    Adaptive Filtering*, 2003).  Returns the (steps,) values after each update.
+    """
+    decay = 1.0 - 2.0 * mu + mu * mu * (n_active + 2)
+    drive = mu * mu * n_active * noise_var
+    out = np.empty(steps)
+    m = msd0
+    for n in range(steps):
+        m = decay * m + drive
+        out[n] = m
+    return out
+
+
+def lms_msd_limit(mu, n_active, noise_var):
+    """The limit of :func:`lms_msd`: ``mu noise_var K / (2 - mu (K + 2))``."""
+    return mu * noise_var * n_active / (2.0 - mu * (n_active + 2))

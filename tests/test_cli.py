@@ -144,6 +144,7 @@ class TestIdentCommand:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["experiment"]["snapshot_every"] == 60
+        assert summary["experiment"]["passes"] == 1  # identification steps its samples once
         assert [r["iteration"] for r in summary["diagnostics"]["lms"]] == [60]
 
 
@@ -198,7 +199,9 @@ class TestSpectrumCommand:
         ])
         assert code == 0
         experiment = json.loads((out / "summary.json").read_text())["experiment"]
-        assert experiment["snapshot_every"] == 250
+        # spectrum records no diagnostics, so it has no cadence
+        assert experiment["snapshot_every"] is None
+        assert experiment["passes"] == 2
         assert sorted(experiment["scenario"]) == [
             "full_len", "n_samples", "n_tones", "seed", "snr_db",
         ]

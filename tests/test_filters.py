@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -188,6 +189,57 @@ class TestZeroAttractors:
             state, _ = step(state, x, y, cfg)
             penalized = support(plain.estimate - state.estimate)
             assert not np.intersect1d(penalized, top_before).size
+
+
+def z_over_abs_z(z):
+    """The complex sign of a Python complex number: ``z/|z|``, and 0 at 0."""
+    return 0j if z == 0 else z / abs(z)
+
+
+class TestComplexAttractors:
+    """The sign attractors on complex estimates against plain Python complex arithmetic."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alg=st.sampled_from(["za_lms", "rza_lms", "sza_lms"]),
+        n_taps=st.integers(2, 12),
+        data=st.data(),
+    )
+    def test_attractor_is_z_over_abs_z(self, alg, n_taps, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        w = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
+        w *= 10.0 ** rng.integers(-300, 300, n_taps)  # |w| overflows if squared
+        w[rng.random(n_taps) < 0.3] = 0
+        s = data.draw(st.integers(1, n_taps - 1))
+        cfg = cfg_for(alg, n_taps=n_taps, rho=1e-3, epsilon=data.draw(st.floats(0.1, 20.0)),
+                      sparsity=s)
+        attractor = filters._VARIANTS[cfg.algorithm][0]
+        got = attractor(w, cfg, None)
+        sign = np.array([z_over_abs_z(z) for z in w.tolist()])
+        if alg == "za_lms":
+            assert got.tobytes() == sign.tobytes()
+        elif alg == "rza_lms":
+            want = [g / (1 + cfg.epsilon * abs(z)) for g, z in zip(sign.tolist(), w.tolist())]
+            # NumPy divides by a real array through its reciprocal
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        else:
+            cut = sorted(abs(z) for z in w.tolist())[-s]
+            want = [g if abs(z) < cut else 0j for g, z in zip(sign.tolist(), w.tolist())]
+            assert np.array_equal(got, want)
+        assert not got[w == 0].any()
+
+    def test_za_step_is_python_arithmetic(self):
+        # small dyadic values: the error and the gradient step are exact
+        cfg = FilterConfig("za_lms", n_taps=4, mu=0.125, rho=0.25)
+        w = np.array([3 - 4j, 0j, -2j, 1 + 1j])
+        x = np.array([1 + 2j, -1j, 0.5, 2 - 1j])
+        y = 0.5 - 0.25j
+        state, err = step(FilterState(w.copy(), 0), x, y, cfg)
+        e = y - sum(z.conjugate() * xk for z, xk in zip(w.tolist(), x.tolist()))
+        want = [z + cfg.mu * (e.conjugate() * xk) - cfg.rho * z_over_abs_z(z)
+                for z, xk in zip(w.tolist(), x.tolist())]
+        assert np.array_equal(state.estimate, want)
+        assert state.estimate[1] == cfg.mu * (e.conjugate() * -1j)  # no pull at 0
 
 
 class TestHardVariants:
@@ -481,6 +533,9 @@ class TestStackStepper:
                 relaxed_sparsity=data.draw(st.integers(s, n_taps - 1)),
                 warmup_steps=warmup + self.HARD.index(alg) if alg in self.HARD else 0,
             ))
+        # one factor per run, as a spectrum run's 1/||x||^2
+        scale = [data.draw(st.floats(0.5, 2.0)) for _ in range(runs)]
+        own = [[replace(cfg, mu=cfg.mu * f) for f in scale] for cfg in cfgs]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
 
         def draw(*shape):
@@ -490,7 +545,7 @@ class TestStackStepper:
         truth = draw(runs, n_taps) * (rng.random((runs, n_taps)) < 0.3)
         x = draw(n_steps, runs, n_taps)
         y = np.einsum("rj,nrj->nr", truth.conj(), x) + 0.01 * draw(n_steps, runs)
-        stepper = StackStepper(np.zeros((len(cfgs), runs, n_taps), dtype), cfgs)
+        stepper = StackStepper(np.zeros((len(cfgs), runs, n_taps), dtype), cfgs, np.array(scale))
         states = [[FilterState.initial(n_taps, dtype) for _ in range(runs)] for _ in cfgs]
         outputs = set()
         for n in range(n_steps):
@@ -499,7 +554,7 @@ class TestStackStepper:
             assert stack.dtype == np.dtype(dtype)
             for i, cfg in enumerate(cfgs):
                 for r in range(runs):
-                    states[i][r], _ = step(states[i][r], x[n, r], y[n, r], cfg)
+                    states[i][r], _ = step(states[i][r], x[n, r], y[n, r], own[i][r])
                     assert np.array_equal(stack[i, r], states[i][r].estimate), (n, cfg.algorithm)
         assert len(outputs) == 2
 

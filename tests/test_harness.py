@@ -57,6 +57,35 @@ def small_spectrum_config(n_runs=2, sparsity=4):
     )
 
 
+# (field, value, message) of fields assigned after a config is built
+ASSIGNED = [
+    ("n_runs", 0, "n_runs must be >= 1"),
+    ("algorithms", [], "algorithms: at least one algorithm is required"),
+    ("n_runs", 1.5, "n_runs must be an integer"),
+    ("base_seed", 2.5, "base_seed must be an integer"),
+    ("base_seed", -1, "base_seed must be >= 0"),
+]
+# each experiment owns one of snapshot_every and passes; the other keeps its one value
+ASSIGNED_OWNED = {
+    "ident": [
+        ("snapshot_every", 0, "snapshot_every must be >= 1"),
+        ("snapshot_every", None, "snapshot_every must be >= 1"),
+        ("passes", 0, "passes: identification steps its samples once"),
+        ("passes", 2, "passes: identification steps its samples once"),
+    ],
+    "spectrum": [
+        ("passes", 0, "passes must be >= 1"),
+        ("passes", 2.5, "passes must be an integer"),
+        ("snapshot_every", 0, "snapshot_every: spectrum has no diagnostics"),
+        ("snapshot_every", 250, "snapshot_every: spectrum has no diagnostics"),
+    ],
+}
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a stream was drawn before the config was checked")
+
+
 class TestExperimentConfig:
     def test_validation(self):
         sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=10)
@@ -97,27 +126,46 @@ class TestExperimentConfig:
             ExperimentConfig(scenario=sc, algorithms=[])
 
     @pytest.mark.parametrize(
-        "field,value,match",
-        [
-            ("n_runs", 0, "n_runs must be >= 1"),
-            ("algorithms", [], "algorithms: at least one algorithm is required"),
-            ("snapshot_every", 0, "snapshot_every must be >= 1"),
-            ("n_runs", 1.5, "n_runs must be an integer"),
-            ("passes", 0, "passes must be >= 1"),
-            ("base_seed", 2.5, "base_seed must be an integer"),
-            ("base_seed", -1, "base_seed must be >= 0"),
-        ],
+        "kind,field,value,match",
+        [(kind, *row) for kind in ("ident", "spectrum") for row in ASSIGNED + ASSIGNED_OWNED[kind]],
     )
-    @pytest.mark.parametrize("kind", ["ident", "spectrum"])
-    def test_fields_assigned_after_build_rejected_by_runner(self, kind, field, value, match):
+    def test_fields_assigned_after_build_rejected_by_runner(
+        self, monkeypatch, kind, field, value, match
+    ):
         cfg = small_ident_config() if kind == "ident" else small_spectrum_config()
         setattr(cfg, field, value)
+        monkeypatch.setattr(harness, "_ident_draw", no_draw)
+        monkeypatch.setattr(harness, "_spectrum_draw", no_draw)
         runner = run_ident_experiment if kind == "ident" else run_spectrum_experiment
         with pytest.raises(ValueError, match=match):
             runner(cfg)
         if kind == "ident":
             with pytest.raises(ValueError, match=match):
                 ident_diagnostics(cfg)
+
+    @pytest.mark.parametrize(
+        "scenario,kw,match",
+        [
+            (IdentScenario(n_taps=16, n_nonzero=3, signal_len=150), dict(passes=10),
+             "passes: identification steps its samples once, got 10"),
+            (SpectrumScenario(full_len=64, n_tones=2, n_samples=24), dict(snapshot_every=50),
+             "snapshot_every: spectrum has no diagnostics, got 50"),
+        ],
+    )
+    def test_other_experiments_field_rejected_at_build(self, scenario, kw, match):
+        algorithms = [FilterConfig("lms", n_taps=16 if "passes" in kw else 64, mu=0.02)]
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(scenario, algorithms, **kw)
+
+    def test_fields_resolve_per_experiment(self):
+        ident, spectrum = small_ident_config(), small_spectrum_config()
+        assert (ident.snapshot_every, ident.passes) == (150, 1)
+        assert (spectrum.snapshot_every, spectrum.passes) == (None, 6)
+        spectrum = ExperimentConfig(spectrum.scenario, spectrum.algorithms)
+        assert (spectrum.snapshot_every, spectrum.passes) == (None, 10)
+        # the resolved values may be given explicitly
+        assert replace(ident, passes=1).passes == 1
+        assert replace(spectrum, snapshot_every=None).snapshot_every is None
 
     def test_duplicate_labels_assigned_after_build_rejected(self):
         cfg = small_ident_config()
@@ -127,9 +175,13 @@ class TestExperimentConfig:
 
     def test_numpy_integer_counts_accepted(self):
         cfg = small_ident_config(n_runs=np.int64(2))
-        cfg = replace(cfg, snapshot_every=np.int32(50), passes=np.int8(3))
-        assert (cfg.n_runs, cfg.snapshot_every, cfg.passes) == (2, 50, 3)
+        cfg = replace(cfg, snapshot_every=np.int32(50), passes=np.int8(1))
+        assert (cfg.n_runs, cfg.snapshot_every, cfg.passes) == (2, 50, 1)
+        assert all(type(c) is int for c in (cfg.n_runs, cfg.snapshot_every, cfg.passes))
         assert run_ident_experiment(cfg)["lms"].n_runs == 2
+        cfg = replace(small_spectrum_config(n_runs=np.int16(1)), passes=np.int8(3))
+        assert (cfg.n_runs, cfg.passes) == (1, 3)
+        assert run_spectrum_experiment(cfg).n_runs == 1
 
     def test_taps_mismatch_names_field(self):
         sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=10)
@@ -169,9 +221,6 @@ class TestSnapshotCadence:
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True, None, "2"])
     def test_rejected_before_any_stream_is_drawn(self, monkeypatch, workers):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a stream was drawn before the worker count was checked")
-
         # the draws the runners really call
         monkeypatch.setattr(harness, "_ident_draw", no_draw)
         monkeypatch.setattr(harness, "_spectrum_draw", no_draw)
@@ -426,11 +475,30 @@ class TestRunSpectrumExperiment:
         plain = np.mean(report.true_bin_means["complex_lms"])
         assert hard > plain
 
-    def test_rejects_unavailable_variants(self):
-        cfg = small_spectrum_config()
-        cfg.algorithms.append(FilterConfig("za_lms", n_taps=64, mu=1.0, rho=1e-4))
-        with pytest.raises(ValueError, match="za_lms"):
-            run_spectrum_experiment(cfg)
+    def test_every_variant_equals_run_stream(self):
+        # all seven variants, each with its own mu and warm-up: a filter steps at
+        # mu/||x||^2 and a hard variant thresholds after warmup_steps + n_samples.
+        # The three runs take two step sizes at full_len 128, and the configs
+        # differ in mu, so the stepper multiplies by an (algorithms, runs, 1) column.
+        sc = SpectrumScenario(full_len=128, n_tones=3, n_samples=24)
+        kw = dict(n_taps=128, rho=1e-3, epsilon=5.0, sparsity=6, relaxed_sparsity=9)
+        algorithms = [
+            FilterConfig(a, mu=0.3 + 0.1 * k, warmup_steps=5 * k, **kw)
+            for k, a in enumerate(Algorithm)
+        ]
+        cfg = ExperimentConfig(sc, algorithms, n_runs=3, passes=3)
+        report = run_spectrum_experiment(cfg)
+        for run, (truth, estimates) in enumerate(harness._spectrum_block(cfg, (0, 3))):
+            stream = gen_spectrum_stream(replace(sc, seed=run), passes=3)
+            scale = step_size_from_stream(stream)
+            for a in algorithms:
+                ref = replace(a, mu=a.mu * scale, warmup_steps=a.warmup_steps + sc.n_samples)
+                w = run_stream(ref, stream)[0][-1]
+                assert estimates[a.label].tobytes() == w.tobytes(), (run, a.label)
+                mean = float(np.mean(np.abs(w[support(truth)])))
+                assert report.true_bin_means[a.label][run] == mean
+                if run == 0:
+                    assert report.estimate_magnitudes[a.label].tobytes() == np.abs(w).tobytes()
 
     def test_rejects_taps_mismatch_before_running(self):
         cfg = small_spectrum_config()
@@ -464,7 +532,7 @@ class TestRunSpectrumExperiment:
             true_support = support(stream.truth)
             s = true_support.size
             for a in algorithms:
-                ref = replace(a, mu=mu, warmup_steps=24)
+                ref = replace(a, mu=a.mu * mu, warmup_steps=a.warmup_steps + 24)
                 w = run_stream(ref, stream)[0][-1]
                 top = support(hard_threshold(w, s))
                 if run == 0:
@@ -943,7 +1011,7 @@ class TestEmitOutputs:
                 "epsilon": 5.0, "sparsity": 3, "relaxed_sparsity": 6,
                 "warmup_steps": 50, "label": "rel",
             }],
-            "n_runs": 1, "base_seed": 0, "snapshot_every": 50, "passes": 10,
+            "n_runs": 1, "base_seed": 0, "snapshot_every": 50, "passes": 1,
         }
 
         cfg = small_spectrum_config(n_runs=1)
@@ -960,7 +1028,7 @@ class TestEmitOutputs:
                 dict(algorithm="lms", sparsity=None, label="complex_lms", **defaults),
                 dict(algorithm="hard_lms", sparsity=4, label="complex_hard_lms", **defaults),
             ],
-            "n_runs": 1, "base_seed": 0, "snapshot_every": 250, "passes": 6,
+            "n_runs": 1, "base_seed": 0, "snapshot_every": None, "passes": 6,
         }
 
     def test_spectrum_csv(self, tmp_path):

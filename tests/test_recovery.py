@@ -142,6 +142,25 @@ class TestTheorem2:
         with pytest.raises(ValueError, match="d must"):
             theorem2_condition([1.0, 0.0, 0.0, 0.0], [0.9, 0.1, 0.0, 0.0], d=d)
 
+    @pytest.mark.parametrize("d", [2.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("w_hat", [[0.9, 0.1, 0.0, 0.0], [0.9, 0.1, 0.05, 0.05]])
+    def test_non_integer_d_named(self, d, w_hat):
+        # the second estimate meets the hypothesis at d = 2 or 3
+        with pytest.raises(ValueError, match="d must be an integer"):
+            theorem2_condition([1.0, 0.0, 0.0, 0.0], w_hat, d)
+        with pytest.raises(ValueError, match="d must be an integer"):
+            certify_rows([1.0, 0.0, 0.0, 0.0], [w_hat], d)
+
+    def test_missing_d_rejected(self):
+        # without d, certify_rows checks Theorem 1; theorem2_condition needs its d
+        with pytest.raises(ValueError, match="d must be an integer, got None"):
+            theorem2_condition([1.0, 0.0, 0.0, 0.0], [0.9, 0.1, 0.05, 0.05], None)
+
+    def test_numpy_integer_d_accepted(self):
+        cert = theorem2_condition([1.0, 0.0, 0.0, 0.0], [0.9, 0.1, 0.05, 0.05], np.int8(3))
+        assert (cert.s, cert.tau, cert.condition_holds) == (1, 2, True)
+        assert type(cert.s) is int and type(cert.tau) is int
+
 
 class TestSerLowerBound:
     def test_exact_bound(self):
@@ -160,6 +179,13 @@ class TestSerLowerBound:
             ser_lower_bound(0)
         with pytest.raises(ValueError):
             ser_lower_bound(3, 0)
+
+    @pytest.mark.parametrize(
+        "args,field", [((2.5,), "s"), ((True,), "s"), ((28, 1.5), "tau"), ((28, True), "tau")]
+    )
+    def test_non_integer_counts_named(self, args, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ser_lower_bound(*args)
 
 
 class TestSzaBiasResidual:
@@ -230,6 +256,23 @@ class TestBatchIht:
         for k in range(steps):
             state, _ = step(state, x, y, cfg)
             assert np.array_equal(state.estimate, hist[k])
+
+    @pytest.mark.parametrize(
+        "s,iters,match",
+        [
+            (2, -1, "iters must be >= 0, got -1"),
+            (2, 2.0, "iters must be an integer, got 2.0"),
+            (2, True, "iters must be an integer, got True"),
+            (2.0, 3, "s must be an integer, got 2.0"),
+        ],
+    )
+    def test_counts_must_be_integers(self, s, iters, match):
+        with pytest.raises(ValueError, match=match):
+            batch_iht(np.eye(3), np.ones(3), s, 0.5, iters)
+
+    def test_numpy_integer_counts_accepted(self):
+        got = batch_iht(np.eye(3), np.array([3.0, 1.0, 2.0]), np.int64(1), 1.0, np.int32(2))
+        assert got.tolist() == [3.0, 0.0, 0.0]
 
     def test_dimension_errors(self):
         with pytest.raises(ValueError, match="2-D"):

@@ -49,6 +49,15 @@ class TestHardThreshold:
         with pytest.raises(ValueError):
             hard_threshold([1.0, 2.0, 3.0, 4.0], s)
 
+    @pytest.mark.parametrize("s", [2.0, 1.5, True, "2", None])
+    def test_non_integer_keep_count_named(self, s):
+        # True would keep one entry, 2.0 fail in a slice, as a bare TypeError
+        with pytest.raises(ValueError, match="s must be an integer"):
+            hard_threshold([1.0, 2.0, 3.0, 4.0], s)
+
+    def test_numpy_integer_keep_count_accepted(self):
+        assert hard_threshold([1.0, 2.0, 3.0, 4.0], np.uint8(2)).tolist() == [0, 0, 3, 4]
+
     def test_input_not_mutated(self):
         v = np.array([3.0, 1.0, 2.0])
         hard_threshold(v, 1)
@@ -134,6 +143,11 @@ class TestPenaltyMask:
     @pytest.mark.parametrize("s", [0, 3, 4])
     def test_bounds_rejected(self, s):
         with pytest.raises(ValueError):
+            penalty_mask(np.array([1.0, 2.0, 3.0]), s)
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, True, None])
+    def test_non_integer_keep_count_named(self, s):
+        with pytest.raises(ValueError, match="s must be an integer"):
             penalty_mask(np.array([1.0, 2.0, 3.0]), s)
 
     @settings(max_examples=300, deadline=None)
