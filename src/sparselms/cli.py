@@ -163,10 +163,10 @@ def main(argv=None):
         _apply_config_file(args, parser)
         if args.command == "ident":
             cfg = _ident_experiment(args)
-            # Haykin's mean-square bound 2/(N sigma_x^2), the input having unit variance
-            if args.mu > 2.0 / args.taps:
-                print(f"warning: mu {args.mu} exceeds the mean-square stability bound 2/N = "
-                      f"{2.0 / args.taps:.4g}; the filters may diverge", file=sys.stderr)
+            # LMS's mean-square bound 2/(N+2) on white unit-variance input (Feuer & Weinstein)
+            if args.mu >= 2.0 / (args.taps + 2):
+                print(f"warning: mu {args.mu} exceeds the mean-square stability bound 2/(N+2) = "
+                      f"{2.0 / (args.taps + 2):.4g}; the filters may diverge", file=sys.stderr)
             curves = run_ident_experiment(cfg, max_workers=args.workers)
             diagnostics = {label: curve.diagnostics for label, curve in curves.items()}
             paths = emit_outputs(curves, args.out, experiment=cfg, diagnostics=diagnostics)

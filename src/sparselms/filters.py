@@ -280,7 +280,7 @@ class StackStepper:
     Prepared once from a copy of ``estimates``: two estimate buffers, which
     :meth:`step` swaps, one scratch set and each slice's :func:`_tail`.
     Row ``r`` of slice ``i`` gets :func:`step` under ``cfgs[i]`` bit for
-    bit: the errors are 1xN by Nx1 ``matmul`` products, as in ``np.vdot``.
+    bit: ``np.vecdot`` forms the errors' ``w^H x`` with ``np.vdot``'s kernel.
     A ``scale``, one number or one per run, multiplies each config's ``mu``.
     Slices of at least ``REUSE_TAPS`` taps cut through a :class:`_KeptCut`:
     on shorter rows, whose support moves most steps, the sort is cheaper.
@@ -288,12 +288,9 @@ class StackStepper:
 
     def __init__(self, estimates, cfgs, scale=1.0):
         w = np.array(estimates)
-        conj = self._conj = np.empty_like(w) if np.iscomplexobj(w) else None
-        bufs = w, np.empty_like(w)
-        # each buffer, its slices and the left operand of its error products
-        self._pair = [(b, list(b), (b if conj is None else conj)[..., None, :]) for b in bufs]
-        err = np.empty((*w.shape[:2], 1, 1), w.dtype)
-        self._err = err, err[..., 0], err[..., 0, 0]
+        self._pair = [(b, list(b)) for b in (w, np.empty_like(w))]
+        err = np.empty((*w.shape[:2], 1), w.dtype)
+        self._err = err, err[..., 0]
         # an (algorithms, runs, 1) column costs a few us a step, so equal
         # step sizes multiply as one Python number, with the same bits
         mu = np.multiply.outer([cfg.mu for cfg in cfgs], scale).reshape(len(cfgs), -1, 1)
@@ -309,11 +306,9 @@ class StackStepper:
 
         Returns the new stack, which the step after next overwrites.
         """
-        (w, w_rows, lhs), (new, new_rows, _) = self._pair
-        products, err, err_row = self._err
-        if self._conj is not None:
-            np.conjugate(w, out=self._conj)
-        np.matmul(lhs, inputs[:, :, None], out=products)
+        (w, w_rows), (new, new_rows) = self._pair
+        err, err_row = self._err
+        np.vecdot(w, inputs, out=err_row)
         np.subtract(outputs, err_row, out=err_row)
         # inputs of the stack's rank: a (1, 1, 1) stack broadcast from (1, 1) rounds unlike step
         _gradient(w, err, inputs[None], self._mu, out=new)

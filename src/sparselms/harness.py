@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import StackStepper
+from .filters import FilterConfig, StackStepper
 from .recovery import _top_mask, certify_rows
 from .signals import (
     IdentScenario,
@@ -96,7 +96,7 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        """Raise ValueError naming the first field that no runner accepts."""
+        """Raise ValueError naming the first field that no runner accepts, nested ones included."""
         ident = isinstance(self.scenario, IdentScenario)
         if ident and self.passes != 1:
             raise ValueError(f"passes: identification steps its samples once, got {self.passes}")
@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
         if not self.algorithms:
             raise ValueError("algorithms: at least one algorithm is required")
+        for nested in (self.scenario, *self.algorithms):
+            if isinstance(nested, (IdentScenario, SpectrumScenario, FilterConfig)):
+                nested.__post_init__()
         labels = [a.label for a in self.algorithms]
         dupes = {l for l in labels if labels.count(l) > 1}
         if dupes:
@@ -274,11 +277,11 @@ def _map_blocks(fn, n_runs, size, max_workers):
 
 def _check_config(cfg, scenario_type, max_workers=1):
     """Reject a config its runner cannot run, before any stream is drawn."""
-    cfg.validate()
     if not isinstance(cfg.scenario, scenario_type):
         raise ValueError(
             f"scenario: expected {scenario_type.__name__}, got {type(cfg.scenario).__name__}"
         )
+    cfg.validate()
     spectrum = scenario_type is SpectrumScenario
     length = "full_len" if spectrum else "n_taps"
     n_taps = getattr(cfg.scenario, length)
@@ -330,8 +333,15 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
 def _spectrum_block(cfg, runs):
     """``(truth, {label: final estimate})`` of each run in ``range(*runs)``, stepped as one stack."""
     truths, updates = _stack(cfg, runs)
-    for _, w in updates:
-        pass
+    # divergence is reported below, as in _ident_block, instead of as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, w in updates:
+            pass
+    bad = np.argwhere(~np.isfinite(w).all(axis=2))  # (algorithm, run) pairs in roster order
+    if bad.size:
+        i, row = bad[0]
+        raise ValueError(f"algorithms[{cfg.algorithms[i].label}]: run {runs[0] + row} diverged, "
+                         "its final estimate is non-finite; reduce mu")
     return [(t, {a.label: est[r] for a, est in zip(cfg.algorithms, w)}) for r, t in enumerate(truths)]
 
 
@@ -343,7 +353,7 @@ def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     after ``warmup_steps + n_samples`` updates.  Blocks of runs step
     through one :class:`~sparselms.filters.StackStepper` each.  Each filter
     is scored by where its final estimate puts the top-s bins, s being the
-    true spectrum's support size.
+    true spectrum's support size.  Raises ValueError when a filter diverges.
     """
     _check_config(cfg, SpectrumScenario, max_workers)
     size = max(1, SPECTRUM_BLOCK_ENTRIES // cfg.scenario.full_len)
@@ -529,47 +539,44 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
     ``spectrum.csv`` (bin, true magnitude, one estimate column per
     label).  Both produce ``summary.json``: the stdlib's ``indent=2,
     sort_keys=True`` text of the summary with non-finite numbers as
-    ``null`` (:func:`_json_text`), encoded whole before the file is opened,
+    ``null`` (:func:`_json_text`), encoded whole before any file is opened,
     so an unencodable value raises TypeError and writes no file.  Files are
     byte-stable across reruns of the same configuration.  Returns the
     written paths.
     """
-    out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out}: {exc}") from exc
     summary = {
         "schema_version": SCHEMA_VERSION,
         "experiment": None if experiment is None else asdict(experiment),
         "diagnostics": diagnostics,
     }
-    written = []
+    if isinstance(result, SpectrumReport):
+        estimates = result.estimate_magnitudes
+        name, header, first = "spectrum.csv", ["bin", "true_mag", *estimates], 0
+        columns = [result.true_magnitudes, *estimates.values()]
+        summary["kind"] = "spectrum"
+        # every report field but the magnitude columns of spectrum.csv
+        summary.update((k, v) for k, v in vars(result).items() if "magnitudes" not in k)
+    else:
+        curves = dict(result)
+        name, header, first = "curves.csv", ["iteration", *curves], 1
+        columns = [c.esr_db for c in curves.values()]
+        summary["kind"] = "ident"
+        summary["final_esr"] = {
+            l: {"linear": float(c.esr_linear[-1]), "db": float(c.esr_db[-1])}
+            for l, c in curves.items()
+            if len(c.esr_linear)
+        }
+        summary["n_runs"] = {l: c.n_runs for l, c in curves.items()}
+    text = _json_text(summary) + "\n"
+    out = Path(output_dir)
     try:
-        if isinstance(result, SpectrumReport):
-            path = out / "spectrum.csv"
-            estimates = result.estimate_magnitudes
-            columns = [result.true_magnitudes, *estimates.values()]
-            _write_csv(path, ["bin", "true_mag", *estimates], 0, columns)
-            written.append(path)
-            summary["kind"] = "spectrum"
-            # every report field but the magnitude columns of spectrum.csv
-            summary.update((k, v) for k, v in vars(result).items() if "magnitudes" not in k)
-        else:
-            curves = dict(result)
-            path = out / "curves.csv"
-            _write_csv(path, ["iteration", *curves], 1, [c.esr_db for c in curves.values()])
-            written.append(path)
-            summary["kind"] = "ident"
-            summary["final_esr"] = {
-                l: {"linear": float(c.esr_linear[-1]), "db": float(c.esr_db[-1])}
-                for l, c in curves.items()
-                if len(c.esr_linear)
-            }
-            summary["n_runs"] = {l: c.n_runs for l, c in curves.items()}
-        path = out / "summary.json"
-        _write_text(path, _json_text(summary) + "\n")
-        written.append(path)
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {out}: {exc}") from exc
+    written = [out / name, out / "summary.json"]
+    try:
+        _write_csv(written[0], header, first, columns)
+        _write_text(written[1], text)
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
     return written

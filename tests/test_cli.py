@@ -87,9 +87,11 @@ class TestIdentCommand:
         assert "lms" in err and "diverged" in err and "iteration" in err
         assert not (out / "curves.csv").exists()
 
-    @pytest.mark.parametrize("mu,warns", [(None, False), ("0.0078", False), ("0.01", True)])
+    @pytest.mark.parametrize(
+        "mu,warns", [(None, False), ("0.0077", False), ("0.0078", True), ("0.01", True)]
+    )
     def test_step_size_warning(self, tmp_path, capsys, mu, warns):
-        # the mean-square bound 2/N is 0.0078125 at the default 256 taps
+        # the white-input mean-square bound 2/(N+2) is 0.0077519 at the default 256 taps
         argv = ["ident", "--runs", "1", "--signal-len", "60", "--algorithms", "lms,hard_lms"]
         argv += [] if mu is None else ["--mu", mu]
         code = run_cli([*argv, "--out", str(tmp_path)])
@@ -97,7 +99,7 @@ class TestIdentCommand:
         assert code == 0
         if warns:
             (line,) = captured.err.splitlines()
-            assert line.startswith("warning: mu 0.01 exceeds") and "0.007812" in line
+            assert line.startswith(f"warning: mu {mu} exceeds") and "2/(N+2) = 0.007752;" in line
         else:
             assert captured.err == ""
         assert captured.out.splitlines()[0].startswith("lms: final ESR")

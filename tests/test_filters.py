@@ -20,6 +20,7 @@ from sparselms import (
 )
 from sparselms import filters
 from sparselms.filters import StackStepper
+from sparselms.signals import _root_table
 
 
 def cfg_for(alg, n_taps=4, mu=0.1, **kw):
@@ -467,9 +468,12 @@ class TestStepRows:
             return out + 1j * rng.standard_normal(shape) if dtype is complex else out
 
         w, big, y = draw(runs, n_taps), draw(runs, width), draw(runs)
+        if dtype is complex and data.draw(st.booleans(), label="gathered"):
+            # the spectrum's rows: entries of one root table, gathered by np.take
+            positions = rng.integers(0, width, runs)
+            big = np.take(_root_table(width), np.multiply.outer(positions, np.arange(width)) % width)
         x = big[:, lead : lead + n_taps]
-        stacked = (w.conj()[:, None, :] @ x[:, :, None])[:, 0, 0]
-        assert np.array_equal(stacked, [np.vdot(w[r], x[r]) for r in range(runs)])
+        assert np.array_equal(np.vecdot(w, x), [np.vdot(w[r], x[r]) for r in range(runs)])
         cfg = FilterConfig("lms", n_taps=n_taps, mu=0.1)
         rows = step_rows(w[None], x, y, [cfg], 0)[0]
         for r in range(runs):

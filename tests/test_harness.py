@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -80,6 +82,20 @@ ASSIGNED_OWNED = {
         ("snapshot_every", 250, "snapshot_every: spectrum has no diagnostics"),
     ],
 }
+# (kind, nested config, field, value, message) of nested fields assigned after a
+# config is built; "algorithm" is the last, hard-threshold filter of the roster
+ASSIGNED_NESTED = [
+    ("ident", "algorithm", "mu", -1.0, "mu must be positive and finite, got -1.0"),
+    ("ident", "algorithm", "sparsity", 40, "sparsity must satisfy 1 <= sparsity < n_taps"),
+    ("ident", "algorithm", "sparsity", 2.5, "sparsity must be an integer, got 2.5"),
+    ("ident", "algorithm", "algorithm", "nope", "'nope' is not a valid Algorithm"),
+    ("ident", "scenario", "signal_len", 0, "signal_len must be >= 1, got 0"),
+    ("ident", "scenario", "n_nonzero", 17, "n_nonzero must satisfy 1 <= n_nonzero <= n_taps"),
+    ("spectrum", "algorithm", "mu", float("nan"), "mu must be positive and finite, got nan"),
+    ("spectrum", "algorithm", "sparsity", 64, "sparsity must satisfy 1 <= sparsity < n_taps"),
+    ("spectrum", "scenario", "n_samples", 0, "n_samples must be >= 1"),
+    ("spectrum", "scenario", "seed", -1, "seed must be >= 0, got -1"),
+]
 
 
 def no_draw(*args, **kwargs):
@@ -156,6 +172,29 @@ class TestExperimentConfig:
         algorithms = [FilterConfig("lms", n_taps=16 if "passes" in kw else 64, mu=0.02)]
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(scenario, algorithms, **kw)
+
+    @pytest.mark.parametrize("kind,nested,field,value,match", ASSIGNED_NESTED)
+    def test_nested_fields_assigned_after_build_rejected_by_runner(
+        self, monkeypatch, kind, nested, field, value, match
+    ):
+        cfg = small_ident_config() if kind == "ident" else small_spectrum_config()
+        setattr(cfg.scenario if nested == "scenario" else cfg.algorithms[-1], field, value)
+        monkeypatch.setattr(harness, "_ident_draw", no_draw)
+        monkeypatch.setattr(harness, "_spectrum_draw", no_draw)
+        runner = run_ident_experiment if kind == "ident" else run_spectrum_experiment
+        with pytest.raises(ValueError, match=re.escape(match)):
+            runner(cfg)
+        if kind == "ident":
+            with pytest.raises(ValueError, match=re.escape(match)):
+                ident_diagnostics(cfg)
+
+    def test_wrong_scenario_named_before_its_fields(self, monkeypatch):
+        # a spectrum scenario handed to identification is named, broken fields or not
+        cfg = small_spectrum_config()
+        cfg.scenario.n_samples = 0
+        monkeypatch.setattr(harness, "_ident_draw", no_draw)
+        with pytest.raises(ValueError, match="scenario: expected IdentScenario"):
+            run_ident_experiment(cfg)
 
     def test_fields_resolve_per_experiment(self):
         ident, spectrum = small_ident_config(), small_spectrum_config()
@@ -458,6 +497,41 @@ class TestBatchedEngine:
 
 
 class TestRunSpectrumExperiment:
+    def test_diverging_filter_reported_without_warnings(self):
+        # mu 50 times 1/||x||^2 overflows lms to NaN, which a hard threshold would keep
+        cfg = ExperimentConfig(
+            SpectrumScenario(full_len=64, n_tones=3, n_samples=24),
+            [FilterConfig("lms", 64, 50.0), FilterConfig("hard_lms", 64, 1.0, sparsity=6)],
+            n_runs=2,
+            passes=200,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                "algorithms[lms]: run 0 diverged, its final estimate is non-finite; reduce mu"
+            )):
+                run_spectrum_experiment(cfg)
+        # the stable filter alone runs to a report
+        cfg.algorithms = cfg.algorithms[1:]
+        assert run_spectrum_experiment(cfg).hit_rates["hard_lms"] == 1.0
+
+    def test_divergence_named_in_its_own_block(self, monkeypatch):
+        # one run a block: run 1 is named even when run 0 is finite
+        monkeypatch.setattr(harness, "SPECTRUM_BLOCK_ENTRIES", 1)
+        cfg = small_spectrum_config(n_runs=3)
+        finite = harness._stack
+
+        def nan_in_run_1(cfg, runs):
+            truths, updates = finite(cfg, runs)
+            *_, (n, w) = updates
+            if runs == (1, 2):
+                w[1, 0, 5] = np.nan
+            return truths, iter([(n, w)])
+
+        monkeypatch.setattr(harness, "_stack", nan_in_run_1)
+        with pytest.raises(ValueError, match=r"algorithms\[complex_hard_lms\]: run 1 diverged"):
+            run_spectrum_experiment(cfg)
+
     def test_report_contents(self):
         cfg = small_spectrum_config()
         report = run_spectrum_experiment(cfg)

@@ -148,7 +148,11 @@ class TestStdlibLayout:
     def test_unencodable_value_writes_no_file(self, tmp_path):
         with pytest.raises(TypeError):
             emit_outputs({}, tmp_path, diagnostics={"bad": [{"x": 1}, {"x": object()}]})
-        assert not (tmp_path / "summary.json").exists()
+        # no curves.csv either, and no directory is made for a summary that cannot be encoded
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(TypeError):
+            emit_outputs({}, tmp_path / "new", diagnostics={"bad": object()})
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_pure_python_encoder_not_used(tmp_path, monkeypatch):
