@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .filters import PARAMETERS, FilterConfig
+from .filters import _VARIANTS, PARAMETERS, FilterConfig
 from .harness import (
     SNAPSHOT_EVERY,
     ExperimentConfig,
@@ -163,10 +163,15 @@ def main(argv=None):
         _apply_config_file(args, parser)
         if args.command == "ident":
             cfg = _ident_experiment(args)
-            # LMS's mean-square bound 2/(N+2) on white unit-variance input (Feuer & Weinstein)
-            if args.mu >= 2.0 / (args.taps + 2):
-                print(f"warning: mu {args.mu} exceeds the mean-square stability bound 2/(N+2) = "
-                      f"{2.0 / (args.taps + 2):.4g}; the filters may diverge", file=sys.stderr)
+            for a in cfg.algorithms:
+                # LMS's mean-square bound on white unit-variance input (Feuer & Weinstein),
+                # K the taps it adapts: its keep-count if it thresholds from the start
+                field = _VARIANTS[a.algorithm][1]
+                keep = getattr(a, field) if field and a.warmup_steps == 0 else a.n_taps
+                if a.mu >= 2.0 / (keep + 2):
+                    print(f"warning: mu {a.mu} exceeds the mean-square stability bound 2/(K+2) = "
+                          f"{2.0 / (keep + 2):.4g} of {a.label} (K = {keep}); it may diverge",
+                          file=sys.stderr)
             curves = run_ident_experiment(cfg, max_workers=args.workers)
             diagnostics = {label: curve.diagnostics for label, curve in curves.items()}
             paths = emit_outputs(curves, args.out, experiment=cfg, diagnostics=diagnostics)

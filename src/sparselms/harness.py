@@ -7,15 +7,17 @@ writes deterministic CSV/JSON artifacts.  Per-run seeds are always
 one loop, each block one (algorithms, runs, taps) stack that a
 ``filters.StackStepper`` updates in place.  Blocks may execute on
 parallel workers and are aggregated in run-index order, so outputs are
-byte-identical for any worker count and block size.
+byte-identical for any worker count and block size.  When identification
+blocks would be short, each worker steps a contiguous slice of the
+roster instead: every algorithm's rows depend on no other algorithm.
 """
 
+import itertools
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +117,11 @@ class ExperimentConfig:
             raise ValueError("algorithms: at least one algorithm is required")
         for nested in (self.scenario, *self.algorithms):
             if isinstance(nested, (IdentScenario, SpectrumScenario, FilterConfig)):
-                nested.__post_init__()
+                try:
+                    nested.__post_init__()
+                except ValueError as exc:
+                    name = "scenario" if nested is self.scenario else f"algorithms[{nested.label}]"
+                    raise ValueError(f"{name}: {exc}") from exc
         labels = [a.label for a in self.algorithms]
         dupes = {l for l in labels if labels.count(l) > 1}
         if dupes:
@@ -254,25 +260,27 @@ def _ident_block(cfg, runs):
     return dict(zip((a.label for a in algorithms), esr)), diagnostics
 
 
-def _map_blocks(fn, n_runs, size, max_workers):
-    """``fn`` over blocks ``(start, stop)`` of consecutive runs, on up to ``max_workers`` processes.
+def _map_blocks(fn, configs, n_runs, size, max_workers):
+    """``fn(c, (start, stop))`` for each of ``configs`` over blocks of consecutive runs.
 
-    Blocks of at most ``size`` runs are split evenly over the workers; results
-    are yielded in run order whichever worker finishes first.  No more
-    processes are opened than blocks, nor than CPUs this process may run on.
+    Blocks of at most ``size`` runs are split evenly, so that each of
+    ``max_workers`` processes gets a (config, block) pair.  Results are
+    yielded by block, then by config, whichever worker finishes first.  No
+    more processes are opened than pairs, nor than CPUs this process may
+    run on.
     """
-    size = min(size, math.ceil(n_runs / max_workers))
-    blocks = [(b, min(b + size, n_runs)) for b in range(0, n_runs, size)]
+    size = min(size, math.ceil(n_runs * len(configs) / max_workers))
+    pairs = [(c, (b, min(b + size, n_runs))) for b in range(0, n_runs, size) for c in configs]
     # a pool forks all its processes when the first block is submitted
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(max_workers, len(blocks), cpus or 1)
+    workers = min(max_workers, len(pairs), cpus or 1)
     if workers <= 1:
-        yield from map(fn, blocks)
+        yield from itertools.starmap(fn, pairs)
         return
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, blocks)
+        yield from pool.map(fn, *zip(*pairs))
 
 
 def _check_config(cfg, scenario_type, max_workers=1):
@@ -306,19 +314,26 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     Every algorithm consumes the identical stream within a run; the mean
     is taken over linear ESR values (dB conversion happens at output).
     Runs are stepped in blocks of consecutive indices, at most
-    ``BLOCK_RUNS`` long and split evenly over the workers, and the
-    per-run curves are summed in run-index order, so the result does not
-    depend on worker count or block size.  Returns a dict mapping
+    ``BLOCK_RUNS`` long and split evenly over the workers.  When that
+    leaves fewer than ``BLOCK_RUNS`` runs a worker, the roster is cut
+    into ``g = min(max_workers, len(cfg.algorithms))`` contiguous slices
+    and each worker steps a slice over ``g / max_workers`` of the runs.
+    Each label's per-run curves are summed in run-index order, so the
+    result does not depend on worker count or block size.  Returns a dict mapping
     algorithm label to LearningCurve, whose ``diagnostics`` are those of
     :func:`ident_diagnostics`.  Raises ValueError when a filter diverges.
     """
     _check_config(cfg, IdentScenario, max_workers)
-    blocks = _map_blocks(partial(_ident_block, cfg), cfg.n_runs, BLOCK_RUNS, max_workers)
-    totals = {a.label: np.zeros(cfg.scenario.signal_len) for a in cfg.algorithms}
-    diagnostics = None
+    algorithms = cfg.algorithms
+    # a short block's step is interpreter-bound, so halving its runs barely shortens it
+    g = min(max_workers, len(algorithms)) if math.ceil(cfg.n_runs / max_workers) < BLOCK_RUNS else 1
+    cuts = np.array_split(np.arange(len(algorithms)), g)  # sizes differ by one, larger first
+    slices = [replace(cfg, algorithms=[algorithms[i] for i in cut]) for cut in cuts]
+    blocks = _map_blocks(_ident_block, slices, cfg.n_runs, BLOCK_RUNS, max_workers)
+    totals = {a.label: np.zeros(cfg.scenario.signal_len) for a in algorithms}
+    diagnostics = {}
     for esr, block_diagnostics in blocks:
-        if block_diagnostics is not None:
-            diagnostics = block_diagnostics
+        diagnostics.update(block_diagnostics or {})
         for label, rows in esr.items():
             for row in rows:
                 totals[label] += row
@@ -326,7 +341,7 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
         a.label: LearningCurve(
             a.label, totals[a.label] / cfg.n_runs, cfg.n_runs, diagnostics[a.label]
         )
-        for a in cfg.algorithms
+        for a in algorithms
     }
 
 
@@ -357,7 +372,7 @@ def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     """
     _check_config(cfg, SpectrumScenario, max_workers)
     size = max(1, SPECTRUM_BLOCK_ENTRIES // cfg.scenario.full_len)
-    blocks = _map_blocks(partial(_spectrum_block, cfg), cfg.n_runs, size, max_workers)
+    blocks = _map_blocks(_spectrum_block, [cfg], cfg.n_runs, size, max_workers)
     hit_rates = {a.label: [] for a in cfg.algorithms}
     true_bin_means = {a.label: [] for a in cfg.algorithms}
     for run, (truth, estimates) in enumerate(r for block in blocks for r in block):

@@ -88,21 +88,37 @@ class TestIdentCommand:
         assert not (out / "curves.csv").exists()
 
     @pytest.mark.parametrize(
-        "mu,warns", [(None, False), ("0.0077", False), ("0.0078", True), ("0.01", True)]
+        "algorithms,mu,warned",
+        [
+            pytest.param("lms,hard_lms", None, {}, id="None-False"),
+            pytest.param("lms,hard_lms", "0.0077", {}, id="0.0077-False"),
+            pytest.param("lms,hard_lms", "0.0078", {"lms": (256, "0.007752")}, id="0.0078-True"),
+            pytest.param("lms,hard_lms", "0.01", {"lms": (256, "0.007752")}, id="0.01-True"),
+            # a hard variant thresholding from the first update adapts only its keep-count
+            pytest.param("hard_rel_lms", "0.01", {}, id="hard_rel_lms-0.01"),
+            pytest.param("hard_init_lms,hard_rel_lms", "0.04",
+                         {"hard_init_lms": (256, "0.007752"), "hard_rel_lms": (56, "0.03448")},
+                         id="hard_init_lms,hard_rel_lms-0.04"),
+            pytest.param("lms,hard_lms", "0.07",
+                         {"lms": (256, "0.007752"), "hard_lms": (28, "0.06667")},
+                         id="lms,hard_lms-0.07"),
+        ],
     )
-    def test_step_size_warning(self, tmp_path, capsys, mu, warns):
-        # the white-input mean-square bound 2/(N+2) is 0.0077519 at the default 256 taps
-        argv = ["ident", "--runs", "1", "--signal-len", "60", "--algorithms", "lms,hard_lms"]
+    def test_step_size_warning(self, tmp_path, capsys, algorithms, mu, warned):
+        # the white-input mean-square bound 2/(K+2) is 0.0077519 at the default 256 taps;
+        # hard_lms keeps s = 28 taps and hard_rel_lms d = 56, while hard_init_lms warms up on all
+        argv = ["ident", "--runs", "1", "--signal-len", "60", "--algorithms", algorithms]
         argv += [] if mu is None else ["--mu", mu]
         code = run_cli([*argv, "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 0
-        if warns:
-            (line,) = captured.err.splitlines()
-            assert line.startswith(f"warning: mu {mu} exceeds") and "2/(N+2) = 0.007752;" in line
-        else:
-            assert captured.err == ""
-        assert captured.out.splitlines()[0].startswith("lms: final ESR")
+        lines = captured.err.splitlines()
+        assert len(lines) == len(warned)
+        for line, (label, (keep, bound)) in zip(lines, warned.items()):
+            assert line.startswith(f"warning: mu {mu} exceeds")
+            assert f"2/(K+2) = {bound} of {label} (K = {keep});" in line
+        first = algorithms.split(",")[0]
+        assert captured.out.splitlines()[0].startswith(f"{first}: final ESR")
         assert (tmp_path / "summary.json").exists()
 
     def test_each_variant_records_only_its_own_parameters(self, tmp_path):
@@ -259,6 +275,7 @@ def test_diverging_run_prints_no_numpy_warning(tmp_path, workers):
     assert done.returncode == 1
     warning, error = done.stderr.splitlines()
     assert warning.startswith("warning: mu 0.5 exceeds the mean-square stability bound")
+    assert "2/(K+2) = 0.007752 of lms (K = 256);" in warning
     assert error.startswith("error: algorithms[lms]: run 0 diverged, its ESR is non-finite")
     assert "Warning" not in done.stderr and "Traceback" not in done.stderr
     assert not out.exists()

@@ -182,10 +182,13 @@ class TestExperimentConfig:
         monkeypatch.setattr(harness, "_ident_draw", no_draw)
         monkeypatch.setattr(harness, "_spectrum_draw", no_draw)
         runner = run_ident_experiment if kind == "ident" else run_spectrum_experiment
-        with pytest.raises(ValueError, match=re.escape(match)):
+        # the message names the nested config that failed
+        prefix = "scenario" if nested == "scenario" else f"algorithms[{cfg.algorithms[-1].label}]"
+        match = "^" + re.escape(f"{prefix}: {match}")
+        with pytest.raises(ValueError, match=match):
             runner(cfg)
         if kind == "ident":
-            with pytest.raises(ValueError, match=re.escape(match)):
+            with pytest.raises(ValueError, match=match):
                 ident_diagnostics(cfg)
 
     def test_wrong_scenario_named_before_its_fields(self, monkeypatch):
@@ -279,40 +282,177 @@ class TestWorkerCount:
 
     def test_pool_capped_at_usable_cpus(self, monkeypatch):
         # a pool forks all its processes at once: no more than the CPUs this process may use
-        import concurrent.futures
         import os
 
-        opened = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        opened, _ = in_process_pools(monkeypatch, cpus=2)
         # the partition stays the one asked for: 64 one-run blocks
-        assert list(harness._map_blocks(tuple, 64, 48, 64)) == [(r, r + 1) for r in range(64)]
-        assert list(harness._map_blocks(tuple, 9, 8, 3)) == [(0, 3), (3, 6), (6, 9)]
+        assert mapped_runs(64, 48, 64) == [(r, r + 1) for r in range(64)]
+        assert mapped_runs(9, 8, 3) == [(0, 3), (3, 6), (6, 9)]
         assert opened == [2, 2]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
-        assert list(harness._map_blocks(tuple, 9, 8, 3)) == [(0, 3), (3, 6), (6, 9)]
+        assert mapped_runs(9, 8, 3) == [(0, 3), (3, 6), (6, 9)]
         assert opened == [2, 2]  # one usable CPU: no pool
         # without sched_getaffinity the CPU count caps the pool
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert list(harness._map_blocks(tuple, 10, 48, 5)) == [(r, r + 2) for r in range(0, 10, 2)]
+        assert mapped_runs(10, 48, 5) == [(r, r + 2) for r in range(0, 10, 2)]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert list(harness._map_blocks(tuple, 4, 48, 4)) == [(r, r + 1) for r in range(4)]
+        assert mapped_runs(4, 48, 4) == [(r, r + 1) for r in range(4)]
         assert opened == [2, 2, 3]
+
+
+def block_args(*args):
+    return args
+
+
+def mapped_runs(n_runs, size, max_workers):
+    """The run blocks ``_map_blocks`` hands out for a one-config roster."""
+    pairs = harness._map_blocks(block_args, ["cfg"], n_runs, size, max_workers)
+    return [runs for _, runs in pairs]
+
+
+def in_process_pools(monkeypatch, cpus, step=True):
+    """Run every pool in process over ``cpus`` usable CPUs and record what the runner submits.
+
+    Returns ``(opened, blocks)``: the ``max_workers`` of each pool opened,
+    and the ``(labels, runs)`` of each identification block in the order
+    the runner submits them.  With ``step=False`` a block returns ESR 1
+    and empty diagnostics instead of stepping.
+    """
+    import concurrent.futures
+    import os
+
+    opened, blocks = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def recorded(cfg, runs):
+        labels = [a.label for a in cfg.algorithms]
+        blocks.append((labels, runs))
+        if step:
+            return ident_block(cfg, runs)
+        ones = np.ones((runs[1] - runs[0], cfg.scenario.signal_len))
+        return {l: ones for l in labels}, {l: [] for l in labels} if runs[0] == 0 else None
+
+    ident_block = harness._ident_block
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(harness, "_ident_block", recorded)
+    return opened, blocks
+
+
+class TestBlockGrid:
+    """Identification blocks: runs split over the workers, or roster slices when runs are few."""
+
+    def cli_config(self, *argv):
+        from sparselms import cli
+
+        args = cli.build_parser().parse_args(["ident", *argv])
+        return cli._ident_experiment(args), args.workers
+
+    def test_few_runs_split_the_roster(self, monkeypatch):
+        opened, blocks = in_process_pools(monkeypatch, cpus=2, step=False)
+        cfg, workers = self.cli_config("--runs", "6", "--workers", "2")
+        run_ident_experiment(cfg, max_workers=workers)
+        assert blocks == [
+            (["lms", "za_lms", "rza_lms", "sza_lms"], (0, 6)),
+            (["hard_lms", "hard_init_lms", "hard_rel_lms"], (0, 6)),
+        ]
+        assert opened == [2]
+
+    def test_many_runs_keep_whole_roster_blocks(self, monkeypatch):
+        opened, blocks = in_process_pools(monkeypatch, cpus=2, step=False)
+        cfg, workers = self.cli_config("--runs", "200", "--workers", "2", "--signal-len", "10")
+        run_ident_experiment(cfg, max_workers=workers)
+        starts = [0, 48, 96, 144, 192]
+        assert blocks == [(cli_roster(), (b, min(b + 48, 200))) for b in starts]
+        assert opened == [2]
+
+    @pytest.mark.parametrize(
+        "n_runs,workers,cpus,expected",
+        [
+            # one algorithm: the runs alone are split
+            (6, 2, 2, [(0, 3), (3, 6)]),
+            (5, 8, 8, [(r, r + 1) for r in range(5)]),
+        ],
+    )
+    def test_one_algorithm_splits_the_runs(self, monkeypatch, n_runs, workers, cpus, expected):
+        opened, blocks = in_process_pools(monkeypatch, cpus=cpus)
+        cfg = small_ident_config(n_runs=n_runs, algorithms=[FilterConfig("lms", n_taps=16, mu=0.02)])
+        run_ident_experiment(cfg, max_workers=workers)
+        assert blocks == [(["lms"], runs) for runs in expected]
+        assert opened == [min(workers, len(expected))]
+
+    @pytest.mark.parametrize("n_runs,sliced", [(94, True), (96, False)])
+    def test_roster_cut_below_block_runs_a_worker(self, monkeypatch, n_runs, sliced):
+        # 47 runs a worker cut the roster, 48 do not
+        _, blocks = in_process_pools(monkeypatch, cpus=2, step=False)
+        cfg, workers = self.cli_config("--runs", str(n_runs), "--workers", "2", "--signal-len", "10")
+        run_ident_experiment(cfg, max_workers=workers)
+        roster = cli_roster()
+        slices = [roster[:4], roster[4:]] if sliced else [roster]
+        assert blocks == [(s, runs) for runs in [(0, 48), (48, n_runs)] for s in slices]
+
+    def test_slices_and_run_blocks_together(self, monkeypatch):
+        # 60 runs at three workers: three slices of 3, 2 and 2 algorithms over 48 + 12 runs
+        _, blocks = in_process_pools(monkeypatch, cpus=3, step=False)
+        cfg, workers = self.cli_config("--runs", "60", "--workers", "3", "--signal-len", "10")
+        run_ident_experiment(cfg, max_workers=workers)
+        roster = cli_roster()
+        slices = [roster[:3], roster[3:5], roster[5:]]
+        assert blocks == [(s, runs) for runs in [(0, 48), (48, 60)] for s in slices]
+
+    @pytest.mark.parametrize("snapshot_every", [1, 20])
+    @pytest.mark.parametrize("n_runs", [1, 2, 6])
+    def test_results_equal_at_any_worker_count(self, monkeypatch, n_runs, snapshot_every):
+        _, blocks = in_process_pools(monkeypatch, cpus=8)
+        cfg = small_ident_config(n_runs=n_runs, algorithms=all_algorithms(16, 3, 0.02),
+                                 signal_len=60)
+        cfg.snapshot_every = snapshot_every
+        serial = run_ident_experiment(cfg)
+        for workers in (2, 3, 7, 8):
+            blocks.clear()
+            curves = run_ident_experiment(cfg, max_workers=workers)
+            # each algorithm steps every run exactly once
+            assert sorted(l for labels, _ in blocks for l in labels) == sorted(
+                [a.label for a in cfg.algorithms] * len({runs for _, runs in blocks})
+            )
+            assert list(curves) == list(serial)
+            for label, curve in curves.items():
+                assert curve.esr_linear.tobytes() == serial[label].esr_linear.tobytes(), label
+                assert curve.diagnostics == serial[label].diagnostics, label
+                assert curve.n_runs == n_runs
+
+    def test_divergence_reported_as_at_one_worker(self):
+        # two filters of the second slice diverge while they warm up; the first slice's do not
+        algorithms = all_algorithms(16, 3, 0.02)
+        for i in (5, 6):
+            algorithms[i] = replace(algorithms[i], mu=50.0, warmup_steps=149)
+        cfg = small_ident_config(n_runs=2, algorithms=algorithms)
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(ValueError) as info:
+                run_ident_experiment(cfg, max_workers=workers)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("algorithms[hard_init_lms]: run 0 diverged")
+
+
+def cli_roster():
+    from sparselms.cli import IDENT_ALGORITHMS
+
+    return list(IDENT_ALGORITHMS)
 
 
 class TestRunIdentExperiment:
@@ -648,8 +788,8 @@ class TestRunSpectrumExperiment:
     def test_block_size_leaves_artifacts_unchanged(self, monkeypatch, tmp_path):
         # the runners' one partition: 9 runs in blocks of 8 + 1 at one
         # worker, of 3 + 3 + 3 at three
-        assert list(harness._map_blocks(tuple, 9, 8, 1)) == [(0, 8), (8, 9)]
-        assert list(harness._map_blocks(tuple, 9, 8, 3)) == [(0, 3), (3, 6), (6, 9)]
+        assert mapped_runs(9, 8, 1) == [(0, 8), (8, 9)]
+        assert mapped_runs(9, 8, 3) == [(0, 3), (3, 6), (6, 9)]
         cfg = small_spectrum_config(n_runs=9)
         artifacts = []
         for cap in (None, 1, 3, 8):  # None: the default, one block of all 9 runs
