@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .signals import check_counts
+from .signals import check_count, check_counts
 from .thresholding import _below_cut, _penalty, hard_threshold
 
 REUSE_TAPS = 512  # rows at least this long cut where the last hard threshold kept
@@ -92,30 +92,19 @@ class FilterConfig:
 
     def __post_init__(self):
         self.algorithm = Algorithm(self.algorithm)
-        check_counts(
-            self, "n_taps", "warmup_steps", optional=("sparsity", "relaxed_sparsity")
-        )
-        if self.n_taps < 1:
-            raise ValueError(f"n_taps must be positive, got {self.n_taps}")
+        check_counts(self, n_taps=1, warmup_steps=0)
+        if self.sparsity is not None:
+            self.sparsity = check_count("sparsity", self.sparsity, 1, self.n_taps - 1)
+        if self.relaxed_sparsity is not None:
+            self.relaxed_sparsity = check_count(
+                "relaxed_sparsity", self.relaxed_sparsity, self.sparsity or 1, self.n_taps - 1
+            )
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not (math.isfinite(self.rho) and self.rho >= 0):
             raise ValueError(f"rho must be non-negative and finite, got {self.rho}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
-        if self.sparsity is not None and not 1 <= self.sparsity < self.n_taps:
-            raise ValueError(
-                f"sparsity must satisfy 1 <= sparsity < n_taps, got {self.sparsity}"
-            )
-        if self.relaxed_sparsity is not None:
-            lo = self.sparsity if self.sparsity is not None else 1
-            if not lo <= self.relaxed_sparsity < self.n_taps:
-                raise ValueError(
-                    "relaxed_sparsity must satisfy "
-                    f"sparsity <= relaxed_sparsity < n_taps, got {self.relaxed_sparsity}"
-                )
         # only the fields whose default is None can still be None here
         for name in PARAMETERS[self.algorithm.value]:
             if getattr(self, name) is None:

@@ -104,15 +104,9 @@ class ExperimentConfig:
             raise ValueError(f"passes: identification steps its samples once, got {self.passes}")
         if not ident and self.snapshot_every is not None:
             raise ValueError(f"snapshot_every: spectrum has no diagnostics, got {self.snapshot_every}")
-        check_counts(self, "n_runs", "base_seed", "passes", optional=("snapshot_every",))
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.n_runs < 1:
-            raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
-        if ident and (self.snapshot_every is None or self.snapshot_every < 1):
-            raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
-        if self.passes < 1:
-            raise ValueError(f"passes must be >= 1, got {self.passes}")
+        check_counts(self, n_runs=1, base_seed=0, passes=1)
+        if ident:
+            self.snapshot_every = check_count("snapshot_every", self.snapshot_every, 1)
         if not self.algorithms:
             raise ValueError("algorithms: at least one algorithm is required")
         for nested in (self.scenario, *self.algorithms):
@@ -304,8 +298,7 @@ def _check_config(cfg, scenario_type, max_workers=1):
             f"snapshot_every ({cfg.snapshot_every}) must not exceed signal_len "
             f"({cfg.scenario.signal_len}), or run 0 gets no diagnostics"
         )
-    if check_count("max_workers", max_workers) < 1:
-        raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
+    check_count("max_workers", max_workers, 1)
 
 
 def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
@@ -598,14 +591,20 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
 
 
 def read_curves_csv(path):
-    """Parse a ``curves.csv`` back into (labels, iterations, columns)."""
+    """Parse a ``curves.csv`` back into (labels, iterations, columns).
+
+    An empty file, or a row whose field count differs from the header's,
+    raises ValueError naming the path and the line.
+    """
     with open(path) as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    header = rows[0]
+        lines = [(i, line.rstrip("\n").split(",")) for i, line in enumerate(fh, 1) if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: line 1: no header, the file is empty")
+    (_, header), *body = lines
+    for i, row in body:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {i}: {len(row)} fields, the header has {len(header)}")
     labels = header[1:]
-    iterations = np.array([int(r[0]) for r in rows[1:]], dtype=int)
-    columns = {
-        label: np.array([float(r[j + 1]) for r in rows[1:]])
-        for j, label in enumerate(labels)
-    }
+    iterations = np.array([int(r[0]) for _, r in body], dtype=int)
+    columns = {label: np.array([float(r[j + 1]) for _, r in body]) for j, label in enumerate(labels)}
     return labels, iterations, columns

@@ -121,9 +121,8 @@ def certify_rows(w_true, estimates, d=None):
             if np.count_nonzero(kept != true_mask):
                 raise RuntimeError("exact-support guarantee violated; threshold operator is broken")
     else:
-        tau = check_count("d", d) - s
-        if tau <= 0 or d >= n:
-            raise ValueError(f"d must satisfy s < d < len(w), got d={d} with s={s}, len={n}")
+        d = check_count("d", d, s + 1, n - 1)
+        tau = d - s
         holds = error_sq <= q * q * (1.0 - 1.0 / (tau + 2))
         if np.count_nonzero(holds):
             holds &= (est != 0).sum(axis=1) >= d
@@ -171,13 +170,10 @@ def ser_lower_bound(s, tau=None):
     Returns ``2 s`` for the exact-support condition and the looser
     ``s / (1 - 1/(tau+2))`` when a relaxation ``tau`` is given.
     """
-    if check_count("s", s) < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    s = check_count("s", s, 1)
     if tau is None:
         return 2.0 * s
-    if check_count("tau", tau) < 1:
-        raise ValueError(f"tau must be >= 1 when given, got {tau}")
-    return s / (1.0 - 1.0 / (tau + 2))
+    return s / (1.0 - 1.0 / (check_count("tau", tau, 1) + 2))
 
 
 def sza_bias_residual(w_true, w_inf_mean, R_x, mu, rho, penalty_mean):
@@ -225,8 +221,7 @@ def batch_iht(A, y, s, mu, iters, return_history=False):
         raise ValueError(f"y must have shape ({n_meas},), got {y.shape}")
     if n_meas < 1:
         raise ValueError("at least one measurement row is required")
-    if check_count("iters", iters) < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    iters = check_count("iters", iters, 0)
     dtype = np.result_type(A.dtype, y.dtype, float)
     rows = [A[m] for m in range(n_meas)]
     conj_rows = [np.conj(A[m]) for m in range(n_meas)]

@@ -34,25 +34,34 @@ __all__ = [
 ]
 
 
-def check_count(name, value):
-    """``value`` as an ``int``; ValueError naming ``name`` for ``bool``, ``2.0`` or a non-number."""
+def check_count(name, value, low=None, high=None):
+    """``value`` as an ``int`` in ``[low, high]``: the one range rule of every integer input.
+
+    ``bool``, ``2.0`` and non-numbers raise ValueError("{name} must be an
+    integer, got {value!r}"); NumPy integers are accepted.  Out of range it
+    raises "{name} must be >= {low}, got {value}" when only ``low`` is
+    given, else "{name} must satisfy {low} <= {name} <= {high}, got {value}".
+    """
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must satisfy {low} <= {name} <= {high}, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
-def check_counts(obj, *names, optional=()):
-    """Store each named field of ``obj`` through :func:`check_count`; ``optional`` ones may be None.
+def check_counts(obj, **lows):
+    """Store each field ``name=low`` of ``obj`` through :func:`check_count` with that lower bound.
 
-    NumPy integers are accepted.  Raises ValueError naming the first field that fails.
+    Raises ValueError naming the first field that fails, in argument order.
     """
-    for name in (*names, *optional):
-        value = getattr(obj, name)
-        if value is not None or name not in optional:
-            setattr(obj, name, check_count(name, value))
+    for name, low in lows.items():
+        setattr(obj, name, check_count(name, getattr(obj, name), low))
 
 
 def _check_snr(sc):
@@ -118,15 +127,8 @@ class IdentScenario:
     random_signs: bool = False
 
     def __post_init__(self):
-        check_counts(self, "n_taps", "n_nonzero", "signal_len", "seed")
-        if not 1 <= self.n_nonzero <= self.n_taps:
-            raise ValueError(
-                f"n_nonzero must satisfy 1 <= n_nonzero <= n_taps, got {self.n_nonzero}"
-            )
-        if self.signal_len < 1:
-            raise ValueError(f"signal_len must be >= 1, got {self.signal_len}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_counts(self, n_taps=1, signal_len=1, seed=0)
+        self.n_nonzero = check_count("n_nonzero", self.n_nonzero, 1, self.n_taps)
         # the noise is calibrated from the truth's energy; math.fabs takes numbers only
         energy = self.n_nonzero * math.fabs(self.tap_value) * math.fabs(self.tap_value)
         if not sys.float_info.min <= energy < math.inf:
@@ -154,20 +156,10 @@ class SpectrumScenario:
     seed: int = 0
 
     def __post_init__(self):
-        check_counts(self, "full_len", "n_tones", "n_samples", "seed")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_samples > self.full_len:
-            raise ValueError(
-                f"n_samples ({self.n_samples}) cannot exceed full_len ({self.full_len})"
-            )
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        n_usable = (self.full_len - 1) // 2
-        if not 1 <= self.n_tones <= n_usable:
-            raise ValueError(
-                f"n_tones must satisfy 1 <= n_tones <= {n_usable} for full_len {self.full_len}"
-            )
+        check_counts(self, full_len=1, seed=0)
+        self.n_samples = check_count("n_samples", self.n_samples, 1, self.full_len)
+        # the usable tone bins, 1 .. ceil(full_len/2) - 1: no DC, no Nyquist
+        self.n_tones = check_count("n_tones", self.n_tones, 1, (self.full_len - 1) // 2)
         _check_snr(self)
 
 
@@ -226,10 +218,7 @@ def _ident_draw(sc: IdentScenario):
 
 
 def _tone_bins(sc: SpectrumScenario, rng):
-    usable = np.arange(1, (sc.full_len + 1) // 2)
-    if sc.full_len % 2 == 0:
-        usable = usable[usable != sc.full_len // 2]
-    return rng.choice(usable, size=sc.n_tones, replace=False)
+    return rng.choice(np.arange(1, (sc.full_len + 1) // 2), size=sc.n_tones, replace=False)
 
 
 def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStream:
@@ -242,8 +231,7 @@ def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStr
     root table, with the noisy sample there, and the whole sample set is
     repeated ``passes`` times in the same order to support retraining.
     """
-    if check_count("passes", passes) < 1:
-        raise ValueError(f"passes must be >= 1, got {passes}")
+    passes = check_count("passes", passes, 1)
     rows = np.empty((sc.n_samples, sc.full_len), dtype=complex)
     samples, truth = _spectrum_draw(sc, _root_table(sc.full_len), rows)
     if passes == 1:

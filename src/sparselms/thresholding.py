@@ -57,8 +57,7 @@ def hard_threshold(v, s, out=None):
     """
     v = np.asarray(v)
     n = v.shape[-1]
-    if not 1 <= check_count("s", s) <= n:
-        raise ValueError(f"s must satisfy 1 <= s <= {n}, got {s}")
+    s = check_count("s", s, 1, n)
     if out is None:
         out = v.copy()
     elif out is not v:
@@ -109,6 +108,4 @@ def penalty_mask(v, s):
     """
     v = np.asarray(v)
     n = v.shape[-1]
-    if not 1 <= check_count("s", s) < n:
-        raise ValueError(f"s must satisfy 1 <= s < {n}, got {s}")
-    return _penalty(v, s)
+    return _penalty(v, check_count("s", s, 1, n - 1))

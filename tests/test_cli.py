@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sparselms
-from sparselms.cli import main
+from sparselms.cli import _option_types, build_parser, main
 
 
 def run_cli(args):
@@ -186,6 +186,55 @@ class TestRunSettings:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not out.exists()
+
+
+# (command, option, out-of-range value, the field its error names), one case per integer
+# option of each subcommand and both sides of every two-sided bound
+OUT_OF_RANGE = [
+    ("ident", "--taps", "-5", "n_taps"),
+    ("ident", "--nonzero", "0", "n_nonzero"),
+    ("ident", "--nonzero", "257", "n_nonzero"),
+    ("ident", "--signal-len", "0", "signal_len"),
+    ("ident", "--sparsity", "0", "sparsity"),
+    ("ident", "--sparsity", "256", "sparsity"),
+    ("ident", "--relaxed-sparsity", "27", "relaxed_sparsity"),
+    ("ident", "--relaxed-sparsity", "256", "relaxed_sparsity"),
+    ("ident", "--warmup", "-1", "warmup_steps"),
+    ("ident", "--snapshot-every", "0", "snapshot_every"),
+    ("ident", "--runs", "0", "n_runs"),
+    ("ident", "--seed", "-1", "seed"),
+    ("ident", "--workers", "0", "max_workers"),
+    ("spectrum", "--full-len", "0", "full_len"),
+    ("spectrum", "--tones", "0", "n_tones"),
+    ("spectrum", "--tones", "500", "n_tones"),
+    ("spectrum", "--samples", "0", "n_samples"),
+    ("spectrum", "--samples", "1001", "n_samples"),
+    ("spectrum", "--passes", "0", "passes"),
+    ("spectrum", "--sparsity", "0", "sparsity"),
+    ("spectrum", "--sparsity", "1000", "sparsity"),
+    ("spectrum", "--runs", "0", "n_runs"),
+    ("spectrum", "--seed", "-1", "seed"),
+    ("spectrum", "--workers", "0", "max_workers"),
+]
+
+
+@pytest.mark.parametrize("command,option,value,field", OUT_OF_RANGE)
+def test_out_of_range_integer_names_its_own_field(tmp_path, capsys, command, option, value, field):
+    out = tmp_path / "res"
+    assert run_cli([command, option, value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {field} must ") and line.endswith(f", got {value}")
+    assert not out.exists()
+
+
+def test_every_integer_option_swept():
+    swept = {(command, option) for command, option, _, _ in OUT_OF_RANGE}
+    for command in ("ident", "spectrum"):
+        for dest, convert in _option_types(build_parser(), command).items():
+            if convert is int:
+                assert (command, "--" + dest.replace("_", "-")) in swept
 
 
 class TestSpectrumCommand:

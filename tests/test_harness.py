@@ -71,7 +71,7 @@ ASSIGNED = [
 ASSIGNED_OWNED = {
     "ident": [
         ("snapshot_every", 0, "snapshot_every must be >= 1"),
-        ("snapshot_every", None, "snapshot_every must be >= 1"),
+        ("snapshot_every", None, "snapshot_every must be an integer, got None"),
         ("passes", 0, "passes: identification steps its samples once"),
         ("passes", 2, "passes: identification steps its samples once"),
     ],
@@ -86,14 +86,14 @@ ASSIGNED_OWNED = {
 # config is built; "algorithm" is the last, hard-threshold filter of the roster
 ASSIGNED_NESTED = [
     ("ident", "algorithm", "mu", -1.0, "mu must be positive and finite, got -1.0"),
-    ("ident", "algorithm", "sparsity", 40, "sparsity must satisfy 1 <= sparsity < n_taps"),
+    ("ident", "algorithm", "sparsity", 40, "sparsity must satisfy 1 <= sparsity <= 15, got 40"),
     ("ident", "algorithm", "sparsity", 2.5, "sparsity must be an integer, got 2.5"),
     ("ident", "algorithm", "algorithm", "nope", "'nope' is not a valid Algorithm"),
     ("ident", "scenario", "signal_len", 0, "signal_len must be >= 1, got 0"),
-    ("ident", "scenario", "n_nonzero", 17, "n_nonzero must satisfy 1 <= n_nonzero <= n_taps"),
+    ("ident", "scenario", "n_nonzero", 17, "n_nonzero must satisfy 1 <= n_nonzero <= 16, got 17"),
     ("spectrum", "algorithm", "mu", float("nan"), "mu must be positive and finite, got nan"),
-    ("spectrum", "algorithm", "sparsity", 64, "sparsity must satisfy 1 <= sparsity < n_taps"),
-    ("spectrum", "scenario", "n_samples", 0, "n_samples must be >= 1"),
+    ("spectrum", "algorithm", "sparsity", 64, "sparsity must satisfy 1 <= sparsity <= 63, got 64"),
+    ("spectrum", "scenario", "n_samples", 0, "n_samples must satisfy 1 <= n_samples <= 64, got 0"),
     ("spectrum", "scenario", "seed", -1, "seed must be >= 0, got -1"),
 ]
 
@@ -1166,6 +1166,21 @@ class TestEmitOutputs:
         assert iterations[0] == 1 and iterations[-1] == 150
         for label in labels:
             assert np.array_equal(columns[label], curves[label].esr_db)
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("", 1),
+            ("\n\n", 1),
+            ("iteration,lms,hard_lms\n1,-1.0,-2.0\n2,-3.0\n", 3),
+            ("iteration,lms\n1,-1.0,-2.0\n", 2),
+        ],
+    )
+    def test_malformed_curves_name_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "curves.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line {line}: ")):
+            read_curves_csv(path)
 
     def test_empty_algorithm_list(self, tmp_path):
         emit_outputs({}, tmp_path)

@@ -17,7 +17,63 @@ from sparselms import (
     support,
 )
 from sparselms.harness import _stack
-from sparselms.signals import WINDOW_ROWS, _ident_draw
+from sparselms.signals import WINDOW_ROWS, _ident_draw, _tone_bins, check_count, check_counts
+
+
+class TestCheckCount:
+    """The one range rule of every integer input."""
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, None, "3", np.float64(3.0), [3]])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError) as info:
+            check_count("n", value, 1, 5)
+        assert str(info.value) == f"n must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint64]
+    )
+    def test_numpy_integers_returned_as_int(self, dtype):
+        value = check_count("n", dtype(5), 1, 5)
+        assert value == 5 and type(value) is int
+        with pytest.raises(ValueError, match=r"^n must satisfy 1 <= n <= 4, got 5$"):
+            check_count("n", dtype(5), 1, 4)
+
+    @pytest.mark.parametrize("value", [1, 3, 5])
+    def test_inside_the_range_returned(self, value):
+        assert check_count("n", value, 1, 5) == value
+
+    @pytest.mark.parametrize("value", [0, 6, -7])
+    def test_outside_the_range_names_both_bounds(self, value):
+        with pytest.raises(ValueError) as info:
+            check_count("n", value, 1, 5)
+        assert str(info.value) == f"n must satisfy 1 <= n <= 5, got {value}"
+
+    def test_lower_bound_only(self):
+        assert check_count("seed", 0, 0) == 0
+        assert check_count("seed", 10**30, 0) == 10**30
+        with pytest.raises(ValueError) as info:
+            check_count("seed", -1, 0)
+        assert str(info.value) == "seed must be >= 0, got -1"
+
+    def test_no_bound_checks_the_type_only(self):
+        assert check_count("d", -3) == -3
+
+    def test_empty_range_rejects_everything(self):
+        # a one-tap filter has no sparsity with 1 <= s <= n_taps - 1
+        for value in (0, 1):
+            with pytest.raises(ValueError, match=r"^s must satisfy 1 <= s <= 0, got "):
+                check_count("s", value, 1, 0)
+
+    def test_check_counts_stores_each_field_in_order(self):
+        class Obj:
+            a, b = np.int16(2), np.int64(0)
+
+        obj = Obj()
+        check_counts(obj, a=1, b=0)
+        assert (obj.a, obj.b) == (2, 0) and type(obj.a) is type(obj.b) is int
+        obj.a, obj.b = 0, -1
+        with pytest.raises(ValueError, match=r"^a must be >= 1, got 0$"):
+            check_counts(obj, a=1, b=0)
 
 
 class TestIdentScenario:
@@ -44,6 +100,10 @@ class TestIdentScenario:
     def test_bad_seed_names_the_field(self, seed, match):
         with pytest.raises(ValueError, match=match):
             IdentScenario(seed=seed)
+
+    def test_n_taps_named_before_the_counts_it_bounds(self):
+        with pytest.raises(ValueError, match=r"^n_taps must be >= 1, got -5$"):
+            IdentScenario(n_taps=-5)
 
     def test_numpy_integer_counts_accepted(self):
         sc = IdentScenario(n_taps=np.int64(8), n_nonzero=np.int32(2), signal_len=np.uint16(20))
@@ -232,6 +292,21 @@ class TestSpectrumScenario:
     def test_bad_seed_names_the_field(self, seed, match):
         with pytest.raises(ValueError, match=match):
             SpectrumScenario(seed=seed)
+
+    def test_tone_bound_is_the_usable_bin_count(self):
+        # at the bound every tone bin is drawn: all of 1 .. ceil(L/2) - 1, never Nyquist
+        for full_len in range(3, 131):
+            n_usable = (full_len - 1) // 2
+            sc = SpectrumScenario(full_len=full_len, n_tones=n_usable, n_samples=1)
+            bins = sorted(_tone_bins(sc, np.random.default_rng(0)))
+            assert bins == list(range(1, (full_len + 1) // 2)) and full_len / 2 not in bins
+            match = rf"^n_tones must satisfy 1 <= n_tones <= {n_usable}, got {n_usable + 1}$"
+            with pytest.raises(ValueError, match=match):
+                SpectrumScenario(full_len=full_len, n_tones=n_usable + 1, n_samples=1)
+
+    def test_full_len_named_before_the_counts_it_bounds(self):
+        with pytest.raises(ValueError, match=r"^full_len must be >= 1, got 0$"):
+            SpectrumScenario(full_len=0)
 
 
 class TestNoiseLevel:
