@@ -7,8 +7,8 @@ three hard-threshold variants (immediate, warm-started and relaxed).  All
 seven are one update, a gradient step followed by an optional attractor
 and an optional projection, which one table (``_VARIANTS``) assigns per
 variant.  States are treated as immutable; each step returns a fresh
-estimate.  :class:`StackStepper` applies the update to an (algorithms,
-runs, taps) stack of estimates at once, in place in two buffers.
+estimate.  :class:`StackStepper` updates an (algorithms, runs, taps) stack in
+place, a settled hard-threshold slice of long rows on its kept taps alone.
 
 The inner product is ``w^H x`` (conjugation on the estimate) and the
 gradient step adds ``mu * conj(e) * x``; for real data both reduce to the
@@ -189,12 +189,12 @@ def _gradient(w, err, x, mu, out=None):
     return new
 
 
-def _finish(new, w, tail, iteration, scratch=None, *cut_buffers, cut=None):
+def _finish(new, w, tail, iteration, scratch=None, *cut_buffers):
     """Finish update ``iteration`` on ``new``, the gradient step from ``w``, in place.
 
     Subtracts ``rho * a(w)``, then hard-thresholds after the warm-up, as
-    ``tail`` (:func:`_tail`'s) says, through ``cut`` if given.  The buffers,
-    if given, are scratch of ``new``'s shape for the attractor and the cut.
+    ``tail`` (:func:`_tail`'s) says.  The buffers, if given, are scratch of
+    ``new``'s shape for the attractor and the cut.
     """
     cfg, attractor, keep = tail
     if attractor is not None:
@@ -202,35 +202,44 @@ def _finish(new, w, tail, iteration, scratch=None, *cut_buffers, cut=None):
         a *= cfg.rho
         new -= a
     if keep is not None and iteration >= cfg.warmup_steps:
-        if cut is None:
-            new[_below_cut(new, keep, *cut_buffers)] = 0
-        else:
-            cut(new, keep, *cut_buffers)
+        new[_below_cut(new, keep, *cut_buffers)] = 0
 
 
 class _KeptCut:
-    """Hard-thresholds one (runs, taps) slice in place, cut where its last cut kept.
+    """Steps one hard-threshold (runs, taps) slice past its warm-up, on its kept taps while they hold.
 
-    If exactly ``keep`` entries of each row reach the row's smallest kept
-    magnitude, it is :func:`_below_cut`'s cut, with the same mask; a NaN or
-    a tie fails that count, and the slice is sorted instead.
+    ``kept`` and ``held`` hold the flat indices of the only entries that may
+    be nonzero in the last output and in the other buffer (all, before a cut).
     """
 
-    kept = np.empty(0, int)  # the flat indices of the entries the last cut kept
+    def __init__(self, w, keep, mu, peak, buffers):
+        self.keep, self.mu, self.peak, self.buffers = keep, mu, peak, buffers
+        self.kept = self.held = np.arange(w.size)
+        # 512 eps covers the roundings of the two products, each hypot and the bound's own
+        self.slack, self.tiny = 1 + 512 * np.finfo(w.real.dtype).eps, np.finfo(w.real.dtype).tiny
 
-    def __call__(self, v, keep, mags, srt, mask):
-        kept = self.kept
-        # each row keeps at least ``keep`` entries, so this size means exactly ``keep``
-        if kept.size == len(v) * keep:
-            cut = np.abs(v, out=mags).take(kept).reshape(-1, keep).min(axis=1, keepdims=True)
-            if np.count_nonzero(np.less(mags, cut, out=mask)) == v.size - kept.size:
-                values = v.take(kept)
-                v.fill(0)
-                v.put(kept, values)
+    def step(self, w, new, err, x):
+        """Write the thresholded gradient step from ``w`` to ``new``.
+
+        Steps only the kept taps when each row kept exactly ``keep`` and a
+        bound (``peak`` above every ``|x_j|``; None: from ``x``) puts every
+        other tap below its row's smallest new kept magnitude (README, Conventions).
+        """
+        kept, keep, mu = self.kept, self.keep, self.mu
+        if kept.size == len(w) * keep:
+            values = _gradient(w.take(kept).reshape(-1, keep), err, x.take(kept).reshape(-1, keep), mu)
+            cut = np.abs(values).min(axis=1, keepdims=True)
+            peak = np.abs(x).max(axis=1, keepdims=True) if self.peak is None else self.peak
+            # |e| peak first, so that an overflowing conj(e)*x_j makes the bound infinite
+            if ((abs(err) * peak * self.slack * abs(mu) < cut) & (cut >= self.tiny)).all():
+                if self.held is not kept:
+                    new.put(self.held, 0)
+                new.put(kept, values)
+                self.held = kept
                 return
-        below = _below_cut(v, keep, mags, srt, mask)
-        v[below] = 0
-        self.kept = np.flatnonzero(~below)
+        below = _below_cut(_gradient(w, err, x, mu, out=new), keep, *self.buffers)
+        new[below] = 0
+        self.held, self.kept = self.kept, np.flatnonzero(~below)
 
 
 def step(state, x, y, cfg):
@@ -271,11 +280,12 @@ class StackStepper:
     Row ``r`` of slice ``i`` gets :func:`step` under ``cfgs[i]`` bit for
     bit: ``np.vecdot`` forms the errors' ``w^H x`` with ``np.vdot``'s kernel.
     A ``scale``, one number or one per run, multiplies each config's ``mu``.
-    Slices of at least ``REUSE_TAPS`` taps cut through a :class:`_KeptCut`:
-    on shorter rows, whose support moves most steps, the sort is cheaper.
+    A hard-threshold slice of ``REUSE_TAPS`` taps or more steps through a
+    :class:`_KeptCut`, given ``peak``, a bound on every input magnitude, if
+    known; on shorter rows, whose support moves most steps, the sort is cheaper.
     """
 
-    def __init__(self, estimates, cfgs, scale=1.0):
+    def __init__(self, estimates, cfgs, scale=1.0, peak=None):
         w = np.array(estimates)
         self._pair = [(b, list(b)) for b in (w, np.empty_like(w))]
         err = np.empty((*w.shape[:2], 1), w.dtype)
@@ -284,25 +294,35 @@ class StackStepper:
         # step sizes multiply as one Python number, with the same bits
         mu = np.multiply.outer([cfg.mu for cfg in cfgs], scale).reshape(len(cfgs), -1, 1)
         self._mu = float(mu.flat[0]) if (mu == mu.flat[0]).all() else mu
-        cut = _KeptCut if w.shape[-1] >= REUSE_TAPS else lambda: None
-        self._tails = [(i, t, cut()) for i, t in enumerate(map(_tail, cfgs)) if t is not None]
+        self._mus = [self._mu] * len(cfgs) if isinstance(self._mu, float) else list(mu)
         # the attractor, magnitudes, sorted magnitudes and mask of one slice
         mags = np.empty(w.shape[1:], w.real.dtype)
         self._scratch = np.empty_like(w[0]), mags, np.empty_like(mags), np.empty(mags.shape, bool)
+        cut = lambda i, keep: _KeptCut(w[i], keep, self._mus[i], peak, self._scratch[1:])
+        self._tails = [(i, t, cut(i, t[2]) if t[2] and w.shape[-1] >= REUSE_TAPS else None)
+                       for i, t in enumerate(map(_tail, cfgs)) if t is not None]
 
     def step(self, inputs, outputs, iteration):
         """Apply update ``iteration`` from the (runs, taps) ``inputs`` and (runs,) ``outputs``.
 
-        Returns the new stack, which the step after next overwrites.
+        Updates come in order; returns the new stack, which the step after next overwrites.
         """
         (w, w_rows), (new, new_rows) = self._pair
         err, err_row = self._err
         np.vecdot(w, inputs, out=err_row)
         np.subtract(outputs, err_row, out=err_row)
-        # inputs of the stack's rank: a (1, 1, 1) stack broadcast from (1, 1) rounds unlike step
-        _gradient(w, err, inputs[None], self._mu, out=new)
-        for i, tail, cut in self._tails:
-            _finish(new_rows[i], w_rows[i], tail, iteration, *self._scratch, cut=cut)
+        cuts = {i: cut for i, (cfg, *_), cut in self._tails if cut and iteration >= cfg.warmup_steps}
+        if cuts:
+            for j, mu in enumerate(self._mus):
+                if j in cuts:
+                    cuts[j].step(w_rows[j], new_rows[j], err[j], inputs)
+                else:
+                    _gradient(w_rows[j], err[j], inputs, mu, out=new_rows[j])
+        else:  # inputs of the stack's rank: a (1, 1, 1) stack broadcast from (1, 1) rounds unlike step
+            _gradient(w, err, inputs[None], self._mu, out=new)
+        for i, tail, _ in self._tails:
+            if i not in cuts:
+                _finish(new_rows[i], w_rows[i], tail, iteration, *self._scratch)
         self._pair.reverse()
         return new
 

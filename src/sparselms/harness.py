@@ -172,7 +172,7 @@ def _stack(cfg, runs):
     through a (samples, runs, full_len) index of the smallest unsigned dtype.
     """
     sc, seeds = cfg.scenario, range(cfg.base_seed + runs[0], cfg.base_seed + runs[1])
-    scale, first = 1.0, 0
+    scale, first, peak = 1.0, 0, None
     if isinstance(sc, IdentScenario):
         M, N = sc.signal_len, sc.n_taps
         # u reversed, then zero-padded: the windows [u(n), ..., u(n-N+1)] of all runs
@@ -190,12 +190,12 @@ def _stack(cfg, runs):
         truths = np.empty((len(seeds), L), complex)
         for r, seed in enumerate(seeds):
             outputs[:, r], truths[r] = _spectrum_draw(replace(sc, seed=seed), keys, index[:, r])
-        # each run's 1/||x||^2, with the bits step_size_from_stream gives on its rows
-        scale, first = 1.0 / np.sum(np.abs(table[index[0]]) ** 2, axis=1), -M
+        # each run's 1/||x||^2 with step_size_from_stream's bits, and a bound on every |x_k|
+        scale, first, peak = 1.0 / np.sum(np.abs(table[index[0]]) ** 2, axis=1), -M, np.abs(table).max()
         x = np.empty((len(seeds), L), complex)
         rows = lambda n: np.take(table, index[n], out=x, mode="clip")
     stack = np.zeros((len(cfg.algorithms), *truths.shape), truths.dtype)
-    stepper = StackStepper(stack, cfg.algorithms, scale)
+    stepper = StackStepper(stack, cfg.algorithms, scale, peak)
     steps = range(first, first + cfg.passes * M)
     return truths, ((n, stepper.step(rows(n % M), outputs[n % M], n)) for n in steps)
 
@@ -593,8 +593,9 @@ def emit_outputs(result, output_dir, experiment=None, diagnostics=None):
 def read_curves_csv(path):
     """Parse a ``curves.csv`` back into (labels, iterations, columns).
 
-    An empty file, or a row whose field count differs from the header's,
-    raises ValueError naming the path and the line.
+    An empty file, a row whose field count differs from the header's, or a
+    cell that is not an integer iteration or a number raises ValueError
+    naming the path and the line, and for a cell its column's label.
     """
     with open(path) as fh:
         lines = [(i, line.rstrip("\n").split(",")) for i, line in enumerate(fh, 1) if line.strip()]
@@ -604,7 +605,11 @@ def read_curves_csv(path):
     for i, row in body:
         if len(row) != len(header):
             raise ValueError(f"{path}: line {i}: {len(row)} fields, the header has {len(header)}")
-    labels = header[1:]
-    iterations = np.array([int(r[0]) for _, r in body], dtype=int)
-    columns = {label: np.array([float(r[j + 1]) for _, r in body]) for j, label in enumerate(labels)}
-    return labels, iterations, columns
+        # checked first, so that the conversion below keeps one column of floats alive at a time
+        for label, kind, text in zip(header, [int] + [float] * len(row), row):
+            try:
+                kind(text)
+            except ValueError:
+                raise ValueError(f"{path}: line {i}: column {label}: cannot read {text!r}") from None
+    columns = {label: np.array([float(r[j]) for _, r in body]) for j, label in enumerate(header) if j}
+    return header[1:], np.array([int(r[0]) for _, r in body], dtype=int), columns

@@ -12,10 +12,13 @@ from sparselms import (
     FilterState,
     IdentScenario,
     MeasurementStream,
+    SpectrumScenario,
     gen_ident_stream,
+    gen_spectrum_stream,
     hard_threshold,
     run_stream,
     step,
+    step_size_from_stream,
     support,
 )
 from sparselms import filters
@@ -684,6 +687,146 @@ class TestKeptCut:
         sorts, rows = self.chained(monkeypatch, cfg, w0, x, y)
         assert sorts == [1, 1, 1, 1, 0, 0]
         assert list(support(rows[0])) == [0, 1, 7] and list(support(rows[1])) == [1, 2, 3]
+
+
+class TestSparseStep:
+    """Hard slices stepped on their kept taps alone (``REUSE_TAPS`` 1) against scalar steps.
+
+    :meth:`chained` holds every row to :func:`step` in ``tobytes()`` and
+    counts, per update, the hard slices that stepped sparsely.  Without a
+    ``peak``, each row's bound takes the largest magnitude of its inputs.
+    """
+
+    N_TAPS = 8
+
+    @pytest.fixture(autouse=True)
+    def counted(self, monkeypatch):
+        # a slice step that does not sort is sparse
+        monkeypatch.setattr(filters, "REUSE_TAPS", 1)
+        self.steps, self.sorts = [], []
+        sliced, below_cut = filters._KeptCut.step, filters._below_cut
+        monkeypatch.setattr(filters._KeptCut, "step", lambda *a: self.steps.append(1) or sliced(*a))
+        monkeypatch.setattr(filters, "_below_cut", lambda *a: self.sorts.append(1) or below_cut(*a))
+
+    def chained(self, cfgs, w0, x, y, scale=1.0, peak=None):
+        """Step the (algorithms, runs, taps) ``w0``; returns the sparse slice steps of each update."""
+        own = [[replace(cfg, mu=cfg.mu * f) for f in np.broadcast_to(scale, len(x[0]))] for cfg in cfgs]
+        stepper = StackStepper(w0, cfgs, scale, peak)
+        states = [[FilterState(row.copy(), 0) for row in rows] for rows in w0]
+        counts = []
+        for n in range(len(x)):
+            before = len(self.steps) - len(self.sorts)
+            stack = stepper.step(x[n], y[n], n)
+            counts.append(len(self.steps) - len(self.sorts) - before)
+            for i, cfg in enumerate(cfgs):
+                for r, state in enumerate(states[i]):
+                    states[i][r], _ = step(state, x[n, r], y[n, r], own[i][r])
+                    assert stack[i, r].tobytes() == states[i][r].estimate.tobytes(), (n, i, r)
+        return counts, stack
+
+    def inputs(self, n_steps, dtype, *taps):
+        """Zero inputs, except ``e_j`` with output ``y`` at each ``(step, row, j, y)`` of ``taps``."""
+        x, y = np.zeros((n_steps, 2, self.N_TAPS), dtype), np.zeros((n_steps, 2), dtype)
+        for n, r, j, value in taps:
+            x[n, r, j], y[n, r] = 1, value
+        return x, y
+
+    def hard(self, mu=1.0):
+        return FilterConfig("hard_lms", n_taps=self.N_TAPS, mu=mu, sparsity=2)
+
+    def start(self, dtype=float):
+        w0 = np.zeros((1, 2, self.N_TAPS), dtype)
+        w0[0, 0, :3] = 7, 5, 0.5
+        w0[0, 1, :3] = 1, -4, 0.25
+        return w0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_settled_supports_step_sparsely(self, dtype):
+        n_taps, runs, n_steps = 16, 3, 300
+        kw = dict(n_taps=n_taps, mu=0.3 / n_taps, sparsity=3)
+        cfgs = [
+            FilterConfig("lms", **kw),
+            FilterConfig("hard_lms", **kw),
+            FilterConfig("hard_init_lms", warmup_steps=40, **kw),
+            FilterConfig("hard_rel_lms", relaxed_sparsity=5, **kw),
+        ]
+        rng = np.random.default_rng(11)
+
+        def draw(*shape):
+            out = rng.standard_normal(shape)
+            return out + 1j * rng.standard_normal(shape) if dtype is complex else out
+
+        truth = np.zeros((runs, n_taps), dtype)
+        for r in range(runs):
+            truth[r, rng.choice(n_taps, 3, replace=False)] = draw(3)
+        x = draw(n_steps, runs, n_taps)
+        y = np.einsum("rj,nrj->nr", truth.conj(), x) + 0.01 * draw(n_steps, runs)
+        counts, _ = self.chained(cfgs, np.zeros((len(cfgs), runs, n_taps), dtype), x, y)
+        # hard_lms and hard_init_lms hold their true supports once settled
+        assert sum(counts[-100:]) >= 200
+
+    def test_moved_support_clears_the_older_buffer(self):
+        # tap 4 of row 0 rises to 6 at update 4 and displaces tap 1; update 5
+        # writes the buffer of update 3, whose nonzeros are the old support
+        x, y = self.inputs(8, float, (4, 0, 4, 6.0))
+        counts, stack = self.chained([self.hard()], self.start(), x, y)
+        assert counts == [0, 1, 1, 1, 0, 1, 1, 1]
+        assert list(support(stack[0, 0])) == [0, 4] and list(support(stack[0, 1])) == [0, 1]
+
+    def test_tie_at_the_cut_sorts(self):
+        assert np.abs(3 + 4j) == 5
+        # update 2 sets tap 5 of row 0 to 3+4j, level with the kept 5j; update 4 sets it to 1
+        x, y = self.inputs(7, complex, (2, 0, 5, 3 - 4j), (4, 0, 5, 1))
+        w0 = self.start(complex)
+        w0[0, 0, 1] = 5j
+        counts, stack = self.chained([self.hard()], w0, x, y)
+        assert counts == [0, 1, 0, 0, 0, 1, 1]
+        assert list(support(stack[0, 0])) == [0, 1]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "value,big,mu", [(np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (1e200, 1e200, 1e-300)]
+    )
+    def test_non_finite_error_or_overflowing_product_sorts(self, dtype, value, big, mu):
+        # at big = 1e200 the estimates and x_6 are 1e200 and mu is 1e-300: conj(e)*x_6
+        # overflows to inf at a dropped tap, though mu*|e|*|x_6| is far below every kept tap
+        x, y = self.inputs(5, dtype, (2, 0, 6, value))
+        x[2, 0, 6] = big
+        with np.errstate(invalid="ignore", over="ignore"):
+            counts, stack = self.chained([self.hard(mu)], self.start(dtype) * big, x, y)
+        assert counts[:3] == [0, 1, 0] and not np.isfinite(stack[0, 0]).all()
+        assert list(support(stack[0, 1])) == [0, 1]
+
+    @pytest.mark.parametrize("small,counts", [(1e-300, [0, 1, 1, 1]), (1e-310, [0, 0, 0, 0])])
+    def test_subnormal_cut_sorts(self, small, counts):
+        # the smaller kept magnitude of row 0 is the cut: normal at 1e-300, subnormal at 1e-310
+        w0 = self.start()
+        w0[0, 0, 1:3] = small, 0
+        assert self.chained([self.hard()], w0, *self.inputs(4, float))[0] == counts
+
+    @pytest.mark.parametrize("table_peak", [False, True])
+    def test_per_run_mu_column(self, table_peak):
+        # three full_len 128 runs whose 1/||x||^2 takes two values, so mu is a column
+        sc = SpectrumScenario(full_len=128, n_tones=2, n_samples=24)
+        streams = [gen_spectrum_stream(replace(sc, seed=run), passes=8) for run in range(3)]
+        scale = np.array([step_size_from_stream(stream) for stream in streams])
+        assert len(set(scale)) == 2
+        cfgs = [FilterConfig("lms", n_taps=128, mu=1.0),
+                FilterConfig("hard_lms", n_taps=128, mu=0.8, sparsity=4, warmup_steps=24)]
+        x = np.stack([stream.inputs for stream in streams], axis=1)
+        y = np.stack([stream.outputs for stream in streams], axis=1)
+        peak = np.abs(_root_table(128)).max() if table_peak else None
+        counts, _ = self.chained(cfgs, np.zeros((2, 3, 128), complex), x, y, scale, peak)
+        assert sum(counts) >= 100
+
+    def test_warmup_crossing(self):
+        # tap 5 of row 1 rises to 3 during the warm-up; the first cut sorts,
+        # and the next writes the last warm-up estimate, which is full
+        cfg = FilterConfig("hard_init_lms", n_taps=self.N_TAPS, mu=1.0, sparsity=2, warmup_steps=3)
+        x, y = self.inputs(6, float, (1, 1, 5, 3.0))
+        counts, stack = self.chained([cfg], self.start(), x, y)
+        assert counts == [0, 0, 0, 0, 1, 1]
+        assert list(support(stack[0, 1])) == [1, 5]
 
 
 class TestRunStream:

@@ -29,7 +29,7 @@ from sparselms import (
     theorem1_condition,
     theorem2_condition,
 )
-from sparselms import filters, harness, recovery
+from sparselms import cli, filters, harness, recovery
 from sparselms.harness import LearningCurve, SpectrumReport, _ident_block
 from sparselms.signals import esr, esr_db
 from sparselms.thresholding import hard_threshold, support
@@ -823,7 +823,18 @@ class TestRunSpectrumExperiment:
         (reused, reused_sorts), (sorted_, sorts) = artifacts
         assert reused == sorted_
         # both passes after the warm-up pass cut every step
-        assert sorts == 2 * sc.n_samples and reused_sorts < sorts // 10
+        assert sorts == 2 * sc.n_samples and reused_sorts <= sorts // 100
+
+    def test_default_block_steps_its_hard_slice_sparsely(self, monkeypatch):
+        # the benchmark's block: 8 default runs, of which hard LMS thresholds 9 of 10 passes
+        cfg = cli._spectrum_experiment(cli.build_parser().parse_args(["spectrum", "--runs", "8"]))
+        steps, sorts = [], []
+        sliced, below_cut = filters._KeptCut.step, filters._below_cut
+        monkeypatch.setattr(filters._KeptCut, "step", lambda *a: steps.append(1) or sliced(*a))
+        monkeypatch.setattr(filters, "_below_cut", lambda *a: sorts.append(1) or below_cut(*a))
+        harness._spectrum_block(cfg, (0, 8))
+        # a slice step that does not sort is sparse
+        assert len(steps) == 9 * cfg.scenario.n_samples == 2700 and len(steps) - len(sorts) >= 2690
 
 
 class TestSpectrumClosedForms:
@@ -1180,6 +1191,20 @@ class TestEmitOutputs:
         path = tmp_path / "curves.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line {line}: ")):
+            read_curves_csv(path)
+
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("iteration,lms\n1,-1.0\n2,abc\n", 3, "lms"),
+            ("iteration,lms,hard_lms\n1,-1.0,x\n", 2, "hard_lms"),
+            ("iteration,lms\n1.5,-1.0\n", 2, "iteration"),
+        ],
+    )
+    def test_malformed_cell_names_path_line_and_column(self, tmp_path, text, line, column):
+        path = tmp_path / "curves.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line {line}: column {column}: ")):
             read_curves_csv(path)
 
     def test_empty_algorithm_list(self, tmp_path):
