@@ -16,6 +16,8 @@ import itertools
 import json
 import math
 import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -254,27 +256,90 @@ def _ident_block(cfg, runs):
     return dict(zip((a.label for a in algorithms), esr)), diagnostics
 
 
+def _stepped(fn, share):
+    """``(True, fn(*pair))`` for the pairs of ``share`` in order, up to a first ``(False, exc)``."""
+    items = []
+    for pair in share:
+        try:
+            items.append((True, fn(*pair)))
+        except Exception as exc:
+            return items + [(False, exc)]
+    return items
+
+
+class _Child:
+    """A forked process that pickles :func:`_stepped` of ``share`` to a pipe; iterating reads them.
+
+    ``close()`` kills the child if it still runs, reaps it once and returns its exit status.
+    """
+
+    def __init__(self, fn, share):
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            # leaves through os._exit, never into the parent's code or buffers; its pipe
+            # closes only as it exits, so at the pipe's end its exit status is final
+            try:
+                pickle.dump(_stepped(fn, share), open(write, "wb", 0), pickle.HIGHEST_PROTOCOL)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def __iter__(self):
+        """The child's items; ChildProcessError names its exit status if it ended without them."""
+        try:
+            items = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"a worker ended with exit status {self.close()} and no result")
+        yield from items
+
+    def close(self):
+        if not self.pipe.closed:
+            self.pipe.close()
+            os.kill(self.pid, 9)  # SIGKILL
+            return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
 def _map_blocks(fn, configs, n_runs, size, max_workers):
     """``fn(c, (start, stop))`` for each of ``configs`` over blocks of consecutive runs.
 
     Blocks of at most ``size`` runs are split evenly, so that each of
     ``max_workers`` processes gets a (config, block) pair.  Results are
-    yielded by block, then by config, whichever worker finishes first.  No
-    more processes are opened than pairs, nor than CPUs this process may
-    run on.
+    yielded by block, then by config, and a failure is the first in that
+    order.  Pair ``i`` goes to share ``i % workers``, no more shares than
+    pairs or usable CPUs: this process steps share 0 while a :class:`_Child`
+    steps each other.  On other platforms a process pool steps them:
+    macOS libraries are not fork-safe, and Windows has no fork.
     """
     size = min(size, math.ceil(n_runs * len(configs) / max_workers))
     pairs = [(c, (b, min(b + size, n_runs))) for b in range(0, n_runs, size) for c in configs]
-    # a pool forks all its processes when the first block is submitted
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(max_workers, len(pairs), cpus or 1)
     if workers <= 1:
         yield from itertools.starmap(fn, pairs)
         return
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+    if sys.platform != "linux":
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, *zip(*pairs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, *zip(*pairs))
+        return
+    children = []
+    try:
+        for k in range(1, workers):
+            children.append(_Child(fn, pairs[k::workers]))
+        # this share first, whole, so that this process never waits while it has work
+        shares = [iter(_stepped(fn, pairs[::workers])), *map(iter, children)]
+        for i in range(len(pairs)):
+            ok, result = next(shares[i % workers])
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for child in children:
+            child.close()
 
 
 def _check_config(cfg, scenario_type, max_workers=1):

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import time
 import warnings
 from dataclasses import replace
 
@@ -281,24 +283,24 @@ class TestWorkerCount:
         assert report.n_runs == 1
 
     def test_pool_capped_at_usable_cpus(self, monkeypatch):
-        # a pool forks all its processes at once: no more than the CPUs this process may use
-        import os
-
-        opened, _ = in_process_pools(monkeypatch, cpus=2)
+        # no more shares than the CPUs this process may use; this process steps share 0
+        forked, _ = in_process_shares(monkeypatch, cpus=2)
         # the partition stays the one asked for: 64 one-run blocks
         assert mapped_runs(64, 48, 64) == [(r, r + 1) for r in range(64)]
         assert mapped_runs(9, 8, 3) == [(0, 3), (3, 6), (6, 9)]
-        assert opened == [2, 2]
+        # two runner calls of two shares each: one child apiece
+        assert forked == [[(r, r + 1) for r in range(1, 64, 2)], [(3, 6)]]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
         assert mapped_runs(9, 8, 3) == [(0, 3), (3, 6), (6, 9)]
-        assert opened == [2, 2]  # one usable CPU: no pool
-        # without sched_getaffinity the CPU count caps the pool
+        assert len(forked) == 2  # one usable CPU: one share, no child
+        # without sched_getaffinity the CPU count caps the shares
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert mapped_runs(10, 48, 5) == [(r, r + 2) for r in range(0, 10, 2)]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert mapped_runs(4, 48, 4) == [(r, r + 1) for r in range(4)]
-        assert opened == [2, 2, 3]
+        # three shares: pair i goes to share i mod 3
+        assert forked[2:] == [[(2, 4), (8, 10)], [(4, 6)]]
 
 
 def block_args(*args):
@@ -311,18 +313,58 @@ def mapped_runs(n_runs, size, max_workers):
     return [runs for _, runs in pairs]
 
 
+def recorded_blocks(monkeypatch, step=True):
+    """The ``(labels, runs)`` of each identification block, in the order the blocks step.
+
+    The fork runner steps this process's share first and each child's when
+    its first result is read, so the partition is compared sorted.
+
+    With ``step=False`` a block returns ESR 1 and empty diagnostics
+    instead of stepping.
+    """
+    blocks = []
+
+    def recorded(cfg, runs):
+        labels = [a.label for a in cfg.algorithms]
+        blocks.append((labels, runs))
+        if step:
+            return ident_block(cfg, runs)
+        ones = np.ones((runs[1] - runs[0], cfg.scenario.signal_len))
+        return {l: ones for l in labels}, {l: [] for l in labels} if runs[0] == 0 else None
+
+    ident_block = harness._ident_block
+    monkeypatch.setattr(harness, "_ident_block", recorded)
+    return blocks
+
+
+def in_process_shares(monkeypatch, cpus, step=True):
+    """Step every share in process over ``cpus`` usable CPUs and record what the runner hands out.
+
+    Returns ``(forked, blocks)``: the run blocks of each share a child
+    would step, and :func:`recorded_blocks`.  A child's share steps when
+    its first result is read.
+    """
+    forked = []
+
+    def child(fn, share):
+        forked.append([runs for _, runs in share])
+        yield from harness._stepped(fn, share)
+
+    monkeypatch.setattr(harness, "_Child", child)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return forked, recorded_blocks(monkeypatch, step)
+
+
 def in_process_pools(monkeypatch, cpus, step=True):
-    """Run every pool in process over ``cpus`` usable CPUs and record what the runner submits.
+    """Run the process pool of other platforms in process over ``cpus`` usable CPUs.
 
     Returns ``(opened, blocks)``: the ``max_workers`` of each pool opened,
-    and the ``(labels, runs)`` of each identification block in the order
-    the runner submits them.  With ``step=False`` a block returns ESR 1
-    and empty diagnostics instead of stepping.
+    and :func:`recorded_blocks`.
     """
     import concurrent.futures
-    import os
+    import sys
 
-    opened, blocks = [], []
+    opened = []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -337,19 +379,10 @@ def in_process_pools(monkeypatch, cpus, step=True):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    def recorded(cfg, runs):
-        labels = [a.label for a in cfg.algorithms]
-        blocks.append((labels, runs))
-        if step:
-            return ident_block(cfg, runs)
-        ones = np.ones((runs[1] - runs[0], cfg.scenario.signal_len))
-        return {l: ones for l in labels}, {l: [] for l in labels} if runs[0] == 0 else None
-
-    ident_block = harness._ident_block
+    monkeypatch.setattr(sys, "platform", "darwin")
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(harness, "_ident_block", recorded)
-    return opened, blocks
+    return opened, recorded_blocks(monkeypatch, step)
 
 
 class TestBlockGrid:
@@ -362,22 +395,23 @@ class TestBlockGrid:
         return cli._ident_experiment(args), args.workers
 
     def test_few_runs_split_the_roster(self, monkeypatch):
-        opened, blocks = in_process_pools(monkeypatch, cpus=2, step=False)
+        forked, blocks = in_process_shares(monkeypatch, cpus=2, step=False)
         cfg, workers = self.cli_config("--runs", "6", "--workers", "2")
         run_ident_experiment(cfg, max_workers=workers)
-        assert blocks == [
+        assert sorted(blocks) == sorted([
             (["lms", "za_lms", "rza_lms", "sza_lms"], (0, 6)),
             (["hard_lms", "hard_init_lms", "hard_rel_lms"], (0, 6)),
-        ]
-        assert opened == [2]
+        ])
+        assert forked == [[(0, 6)]]  # two shares: the first slice here, the second in a child
 
     def test_many_runs_keep_whole_roster_blocks(self, monkeypatch):
-        opened, blocks = in_process_pools(monkeypatch, cpus=2, step=False)
+        forked, blocks = in_process_shares(monkeypatch, cpus=2, step=False)
         cfg, workers = self.cli_config("--runs", "200", "--workers", "2", "--signal-len", "10")
         run_ident_experiment(cfg, max_workers=workers)
         starts = [0, 48, 96, 144, 192]
-        assert blocks == [(cli_roster(), (b, min(b + 48, 200))) for b in starts]
-        assert opened == [2]
+        assert sorted(blocks) == sorted([(cli_roster(), (b, min(b + 48, 200))) for b in starts])
+        # two shares, the blocks dealt in turn: 104 runs here and 96 in the child
+        assert forked == [[(48, 96), (144, 192)]]
 
     @pytest.mark.parametrize(
         "n_runs,workers,cpus,expected",
@@ -388,35 +422,37 @@ class TestBlockGrid:
         ],
     )
     def test_one_algorithm_splits_the_runs(self, monkeypatch, n_runs, workers, cpus, expected):
-        opened, blocks = in_process_pools(monkeypatch, cpus=cpus)
+        forked, blocks = in_process_shares(monkeypatch, cpus=cpus)
         cfg = small_ident_config(n_runs=n_runs, algorithms=[FilterConfig("lms", n_taps=16, mu=0.02)])
         run_ident_experiment(cfg, max_workers=workers)
-        assert blocks == [(["lms"], runs) for runs in expected]
-        assert opened == [min(workers, len(expected))]
+        assert sorted(blocks) == sorted([(["lms"], runs) for runs in expected])
+        assert len(forked) + 1 == min(workers, len(expected))  # the shares
+        assert forked == [[runs] for runs in expected[1:]]
 
     @pytest.mark.parametrize("n_runs,sliced", [(94, True), (96, False)])
     def test_roster_cut_below_block_runs_a_worker(self, monkeypatch, n_runs, sliced):
         # 47 runs a worker cut the roster, 48 do not
-        _, blocks = in_process_pools(monkeypatch, cpus=2, step=False)
+        _, blocks = in_process_shares(monkeypatch, cpus=2, step=False)
         cfg, workers = self.cli_config("--runs", str(n_runs), "--workers", "2", "--signal-len", "10")
         run_ident_experiment(cfg, max_workers=workers)
         roster = cli_roster()
         slices = [roster[:4], roster[4:]] if sliced else [roster]
-        assert blocks == [(s, runs) for runs in [(0, 48), (48, n_runs)] for s in slices]
+        runs = [(0, 48), (48, n_runs)]
+        assert sorted(blocks) == sorted([(s, r) for r in runs for s in slices])
 
     def test_slices_and_run_blocks_together(self, monkeypatch):
         # 60 runs at three workers: three slices of 3, 2 and 2 algorithms over 48 + 12 runs
-        _, blocks = in_process_pools(monkeypatch, cpus=3, step=False)
+        _, blocks = in_process_shares(monkeypatch, cpus=3, step=False)
         cfg, workers = self.cli_config("--runs", "60", "--workers", "3", "--signal-len", "10")
         run_ident_experiment(cfg, max_workers=workers)
         roster = cli_roster()
         slices = [roster[:3], roster[3:5], roster[5:]]
-        assert blocks == [(s, runs) for runs in [(0, 48), (48, 60)] for s in slices]
+        assert sorted(blocks) == sorted([(s, runs) for runs in [(0, 48), (48, 60)] for s in slices])
 
     @pytest.mark.parametrize("snapshot_every", [1, 20])
     @pytest.mark.parametrize("n_runs", [1, 2, 6])
     def test_results_equal_at_any_worker_count(self, monkeypatch, n_runs, snapshot_every):
-        _, blocks = in_process_pools(monkeypatch, cpus=8)
+        _, blocks = in_process_shares(monkeypatch, cpus=8)
         cfg = small_ident_config(n_runs=n_runs, algorithms=all_algorithms(16, 3, 0.02),
                                  signal_len=60)
         cfg.snapshot_every = snapshot_every
@@ -434,19 +470,150 @@ class TestBlockGrid:
                 assert curve.diagnostics == serial[label].diagnostics, label
                 assert curve.n_runs == n_runs
 
-    def test_divergence_reported_as_at_one_worker(self):
-        # two filters of the second slice diverge while they warm up; the first slice's do not
+
+    def test_other_platforms_keep_the_pool(self, monkeypatch):
+        # off Linux the pool steps the same blocks, to the same bits
+        opened, blocks = in_process_pools(monkeypatch, cpus=2)
+        cfg, workers = self.cli_config("--runs", "6", "--workers", "2", "--signal-len", "50")
+        pooled = run_ident_experiment(cfg, max_workers=workers)
+        roster = cli_roster()
+        assert blocks == [(roster[:4], (0, 6)), (roster[4:], (0, 6))]
+        assert opened == [2]
+        serial = run_ident_experiment(cfg)
+        for label, curve in serial.items():
+            assert pooled[label].esr_linear.tobytes() == curve.esr_linear.tobytes(), label
+            assert pooled[label].diagnostics == curve.diagnostics, label
+
+
+def has_children():
+    """Whether this process has a child, running or not yet reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def stepped_by(cfg, runs):
+    return cfg, runs, os.getpid()
+
+
+class TestForkRunner:
+    """The fork runner for real: children forked from this process over three usable CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def forked(self, monkeypatch):
+        """The pids of the children each test forks; none may be left after it."""
+        pids = []
+
+        def child(fn, share):
+            started = fork(fn, share)
+            pids.append(started.pid)
+            return started
+
+        fork = harness._Child
+        monkeypatch.setattr(harness, "_Child", child)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert not has_children()
+        yield pids
+        assert not has_children()
+
+    def test_artifacts_identical_at_one_two_and_three_workers(self, tmp_path, forked):
+        ident = small_ident_config(n_runs=5, algorithms=all_algorithms(16, 3, 0.02))
+        ident.snapshot_every = 50
+        spectrum = small_spectrum_config(n_runs=5)
+        blobs = []
+        for workers in (1, 2, 3):
+            forked.clear()
+            curves = run_ident_experiment(ident, max_workers=workers)
+            report = run_spectrum_experiment(spectrum, max_workers=workers)
+            # one share a worker in each runner, all but the first forked
+            assert len(forked) == 2 * (workers - 1)
+            diags = {label: c.diagnostics for label, c in curves.items()}
+            out = tmp_path / str(workers)
+            emit_outputs(curves, out / "ident", experiment=ident, diagnostics=diags)
+            emit_outputs(report, out / "spectrum", experiment=spectrum)
+            names = ["ident/curves.csv", "ident/summary.json", "spectrum/spectrum.csv",
+                     "spectrum/summary.json"]
+            blobs.append([(out / name).read_bytes() for name in names])
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_results_in_pair_order_shares_dealt_in_turn(self, forked):
+        results = list(harness._map_blocks(stepped_by, ["a", "b"], 7, 2, 3))
+        assert [r[:2] for r in results] == list(harness._map_blocks(block_args, ["a", "b"], 7, 2, 1))
+        # pair i is stepped by share i mod 3: this process, then the children in turn
+        owners = [os.getpid(), *forked]
+        assert [pid for *_, pid in results] == [owners[i % 3] for i in range(len(results))]
+        assert len(set(owners)) == 3
+
+    @pytest.mark.parametrize("failing", [{1, 2}, {2, 3}, {3, 1}, {0, 1}, {4, 3}, {5}],
+                             ids=lambda pairs: "-".join(map(str, sorted(pairs))))
+    def test_first_failure_in_pair_order_raised(self, failing):
+        # pairs 0, 3 and 6 step here, 1 and 4 in one child, 2 and 5 in the other
+        def block(cfg, runs):
+            if runs[0] in failing:
+                raise ValueError(f"block {runs} failed in {'a child' if os.getpid() != me else 'here'}")
+            return runs
+
+        me = os.getpid()
+        with pytest.raises(ValueError) as info:
+            list(harness._map_blocks(block, ["cfg"], 7, 1, 3))
+        first = min(failing)
+        where = "here" if first % 3 == 0 else "a child"
+        assert str(info.value) == f"block ({first}, {first + 1}) failed in {where}"
+
+    @pytest.mark.parametrize("diverging", [(1,), (5, 6), (3, 4)], ids=["here", "child", "split"])
+    def test_divergence_reported_as_at_one_worker(self, diverging, forked):
+        # the filters diverge while they warm up; at two workers the first four step
+        # here and the last three in a child, at three workers 0-2 here, 3-4 and 5-6 in two
         algorithms = all_algorithms(16, 3, 0.02)
-        for i in (5, 6):
+        for i in diverging:
             algorithms[i] = replace(algorithms[i], mu=50.0, warmup_steps=149)
         cfg = small_ident_config(n_runs=2, algorithms=algorithms)
         errors = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             with pytest.raises(ValueError) as info:
                 run_ident_experiment(cfg, max_workers=workers)
             errors.append(str(info.value))
-        assert errors[0] == errors[1]
-        assert errors[0].startswith("algorithms[hard_init_lms]: run 0 diverged")
+        assert len(forked) == 3
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0].startswith(f"algorithms[{algorithms[diverging[0]].label}]: run 0 diverged")
+
+    @pytest.mark.parametrize("ending,status", [("exit", 3), ("kill", -9)])
+    def test_child_ending_without_a_result_names_its_status(self, ending, status):
+        # the child stepping pairs 1 and 4 ends at pair 4, before it sends either
+        def block(cfg, runs):
+            if os.getpid() != me and runs == (4, 5):
+                os._exit(3) if ending == "exit" else os.kill(os.getpid(), 9)
+            return runs
+
+        me = os.getpid()
+        results = harness._map_blocks(block, ["cfg"], 7, 1, 3)
+        assert next(results) == (0, 1)
+        with pytest.raises(ChildProcessError, match=f"exit status {status} and no result"):
+            next(results)
+
+    @pytest.mark.parametrize("stop", ["close", "interrupt"])
+    def test_children_killed_when_stopped_early(self, stop):
+        # the children would step for a minute; closing the generator after its
+        # first block, or an interrupt in this process's share, kills them at once
+        def block(cfg, runs):
+            if os.getpid() != me:
+                time.sleep(60)
+            elif stop == "interrupt":
+                raise KeyboardInterrupt
+            return runs
+
+        me = os.getpid()
+        start = time.perf_counter()
+        results = harness._map_blocks(block, ["cfg"], 3, 1, 3)
+        if stop == "close":
+            assert next(results) == (0, 1)
+            results.close()
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                next(results)
+        assert time.perf_counter() - start < 30
 
 
 def cli_roster():
@@ -554,18 +721,6 @@ class TestBatchedEngine:
         assert parts[0][1] == diags
         for label, rows in whole.items():
             assert np.array_equal(np.vstack([p[0][label] for p in parts]), rows)
-
-    def test_artifacts_identical_for_any_worker_count(self, tmp_path):
-        cfg = small_ident_config(n_runs=5, algorithms=all_algorithms(16, 3, 0.02))
-        cfg.snapshot_every = 50
-        blobs = []
-        for workers in (1, 2, 3):
-            curves = run_ident_experiment(cfg, max_workers=workers)
-            diags = {label: c.diagnostics for label, c in curves.items()}
-            emit_outputs(curves, tmp_path / str(workers), experiment=cfg, diagnostics=diags)
-            blobs.append([(tmp_path / str(workers) / n).read_bytes()
-                          for n in ("curves.csv", "summary.json")])
-        assert blobs[0] == blobs[1] == blobs[2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_main_pass_diagnostics_equal_standalone(self, workers):
@@ -889,6 +1044,25 @@ class TestSpectrumClosedForms:
         want = 10 * np.log10(1 - sc.n_samples / sc.full_len)
         for stream, w in runs[1]:
             assert abs(esr_db(stream.truth, w) - want) <= 0.25
+
+    def test_hard_lms_keeps_the_back_projections_top_set(self):
+        """The per-sample threshold keeps the top-s set of its first cut.
+
+        That cut follows one LMS pass, which lands on the back-projection
+        ``X^T conj(y)``, and a single step's increment rarely beats the
+        smallest kept magnitude afterwards.  At ``full_len`` 256, 10 tones
+        and 64 samples, ``complex_hard_lms``'s final top-20 set equalled the
+        back-projection's on 20 of 20 runs (in 0.2 s); at 96 samples, on 18
+        of 20.
+        """
+        sc = SpectrumScenario(full_len=256, n_tones=10, n_samples=64)
+        hard = FilterConfig("hard_lms", n_taps=256, mu=1.0, sparsity=20, label="complex_hard_lms")
+        cfg = ExperimentConfig(scenario=sc, algorithms=[hard], n_runs=20)
+        for seed, (_, est) in enumerate(harness._spectrum_block(cfg, (0, 20))):
+            stream = gen_spectrum_stream(replace(sc, seed=seed))
+            back_projection = stream.inputs.T @ np.conj(stream.outputs)
+            top = support(hard_threshold(est["complex_hard_lms"], 20))
+            assert np.array_equal(top, support(hard_threshold(back_projection, 20))), seed
 
 
 class TestBenchmarkScenarios:
