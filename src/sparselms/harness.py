@@ -30,6 +30,7 @@ from .signals import (
     IdentScenario,
     SpectrumScenario,
     _ident_draw,
+    _phase_rows,
     _root_table,
     _spectrum_draw,
     check_count,
@@ -62,6 +63,7 @@ BLOCK_RUNS = 48
 
 # Entries per algorithm in a spectrum block of whole runs, at least one.  At full_len 1000 a
 # run-step took 34.7, 25.7, 22.5 and 23.8 us in blocks of 1, 4, 8 and 16 runs (2-vCPU VM).
+# The block's index holds at most full_len rows, one per distinct position, whatever its runs.
 SPECTRUM_BLOCK_ENTRIES = 2**13
 
 # Run 0's snapshots are diagnosed this many at a time, so a stack of seven
@@ -170,8 +172,9 @@ def _stack(cfg, runs):
     update after next overwrites.  Every run steps its samples ``cfg.passes``
     times.  A spectrum run multiplies each ``mu`` by its 1/||x||^2 and counts
     its updates from -n_samples, so hard variants threshold after
-    ``warmup_steps + n_samples``; its rows are gathered from the root table
-    through a (samples, runs, full_len) index of the smallest unsigned dtype.
+    ``warmup_steps + n_samples``; its rows are gathered from the root table through
+    one index row (smallest unsigned dtype) per distinct position, at most ``full_len``,
+    and a (samples, runs) map: ``np.unique``'s inverse, reshaped, as its shape varies.
     """
     sc, seeds = cfg.scenario, range(cfg.base_seed + runs[0], cfg.base_seed + runs[1])
     scale, first, peak = 1.0, 0, None
@@ -187,15 +190,18 @@ def _stack(cfg, runs):
         rows = lambda n: inputs[:, M - 1 - n : M - 1 - n + N]
     else:
         L, M = sc.full_len, sc.n_samples
-        table, keys = _root_table(L), np.arange(L, dtype=np.min_scalar_type(L - 1))
-        index, outputs = np.empty((M, len(seeds), L), keys.dtype), np.empty((M, len(seeds)))
+        positions, outputs = np.empty((M, len(seeds)), np.intp), np.empty((M, len(seeds)))
         truths = np.empty((len(seeds), L), complex)
         for r, seed in enumerate(seeds):
-            outputs[:, r], truths[r] = _spectrum_draw(replace(sc, seed=seed), keys, index[:, r])
+            positions[:, r], outputs[:, r], truths[r] = _spectrum_draw(replace(sc, seed=seed))
+        distinct, where = np.unique(positions, return_inverse=True)
+        where, index = where.reshape(M, -1), np.empty((len(distinct), L), np.min_scalar_type(L - 1))
+        for i, k in _phase_rows(distinct, L):
+            index[i : i + len(k)] = k
+        table, x = _root_table(L), np.empty((len(seeds), L), complex)
+        rows = lambda n: np.take(table, index[where[n]], out=x, mode="clip")
         # each run's 1/||x||^2 with step_size_from_stream's bits, and a bound on every |x_k|
-        scale, first, peak = 1.0 / np.sum(np.abs(table[index[0]]) ** 2, axis=1), -M, np.abs(table).max()
-        x = np.empty((len(seeds), L), complex)
-        rows = lambda n: np.take(table, index[n], out=x, mode="clip")
+        scale, first, peak = 1.0 / np.sum(np.abs(rows(0)) ** 2, axis=1), -M, np.abs(table).max()
     stack = np.zeros((len(cfg.algorithms), *truths.shape), truths.dtype)
     stepper = StackStepper(stack, cfg.algorithms, scale, peak)
     steps = range(first, first + cfg.passes * M)
@@ -302,21 +308,20 @@ class _Child:
             return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def _map_blocks(fn, configs, n_runs, size, max_workers):
+def _map_blocks(fn, configs, n_runs, size, workers):
     """``fn(c, (start, stop))`` for each of ``configs`` over blocks of consecutive runs.
 
     Blocks of at most ``size`` runs are split evenly, so that each of
-    ``max_workers`` processes gets a (config, block) pair.  Results are
+    ``workers`` processes gets a (config, block) pair.  Results are
     yielded by block, then by config, and a failure is the first in that
     order.  Pair ``i`` goes to share ``i % workers``, no more shares than
-    pairs or usable CPUs: this process steps share 0 while a :class:`_Child`
-    steps each other.  On other platforms a process pool steps them:
-    macOS libraries are not fork-safe, and Windows has no fork.
+    pairs: this process steps share 0 while a :class:`_Child` steps each
+    other.  On other platforms a process pool steps them: macOS libraries
+    are not fork-safe, and Windows has no fork.
     """
-    size = min(size, math.ceil(n_runs * len(configs) / max_workers))
+    size = min(size, math.ceil(n_runs * len(configs) / workers))
     pairs = [(c, (b, min(b + size, n_runs))) for b in range(0, n_runs, size) for c in configs]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(max_workers, len(pairs), cpus or 1)
+    workers = min(workers, len(pairs))
     if workers <= 1:
         yield from itertools.starmap(fn, pairs)
         return
@@ -343,7 +348,7 @@ def _map_blocks(fn, configs, n_runs, size, max_workers):
 
 
 def _check_config(cfg, scenario_type, max_workers=1):
-    """Reject a config its runner cannot run, before any stream is drawn."""
+    """Reject a config its runner cannot run, before any draw; return the workers that can run."""
     if not isinstance(cfg.scenario, scenario_type):
         raise ValueError(
             f"scenario: expected {scenario_type.__name__}, got {type(cfg.scenario).__name__}"
@@ -363,7 +368,8 @@ def _check_config(cfg, scenario_type, max_workers=1):
             f"snapshot_every ({cfg.snapshot_every}) must not exceed signal_len "
             f"({cfg.scenario.signal_len}), or run 0 gets no diagnostics"
         )
-    check_count("max_workers", max_workers, 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(check_count("max_workers", max_workers, 1), cpus or 1)
 
 
 def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
@@ -371,23 +377,23 @@ def run_ident_experiment(cfg: ExperimentConfig, max_workers: int = 1):
 
     Every algorithm consumes the identical stream within a run; the mean
     is taken over linear ESR values (dB conversion happens at output).
-    Runs are stepped in blocks of consecutive indices, at most
-    ``BLOCK_RUNS`` long and split evenly over the workers.  When that
-    leaves fewer than ``BLOCK_RUNS`` runs a worker, the roster is cut
-    into ``g = min(max_workers, len(cfg.algorithms))`` contiguous slices
-    and each worker steps a slice over ``g / max_workers`` of the runs.
+    Runs are stepped in blocks of at most ``BLOCK_RUNS`` consecutive indices,
+    split evenly over ``workers``, ``max_workers`` capped at the usable CPUs.
+    When that leaves fewer than ``BLOCK_RUNS`` runs a worker, the roster is
+    cut into ``g = min(workers, len(cfg.algorithms))`` contiguous slices
+    and each worker steps a slice over ``g / workers`` of the runs.
     Each label's per-run curves are summed in run-index order, so the
     result does not depend on worker count or block size.  Returns a dict mapping
     algorithm label to LearningCurve, whose ``diagnostics`` are those of
     :func:`ident_diagnostics`.  Raises ValueError when a filter diverges.
     """
-    _check_config(cfg, IdentScenario, max_workers)
+    workers = _check_config(cfg, IdentScenario, max_workers)
     algorithms = cfg.algorithms
     # a short block's step is interpreter-bound, so halving its runs barely shortens it
-    g = min(max_workers, len(algorithms)) if math.ceil(cfg.n_runs / max_workers) < BLOCK_RUNS else 1
+    g = min(workers, len(algorithms)) if math.ceil(cfg.n_runs / workers) < BLOCK_RUNS else 1
     cuts = np.array_split(np.arange(len(algorithms)), g)  # sizes differ by one, larger first
     slices = [replace(cfg, algorithms=[algorithms[i] for i in cut]) for cut in cuts]
-    blocks = _map_blocks(_ident_block, slices, cfg.n_runs, BLOCK_RUNS, max_workers)
+    blocks = _map_blocks(_ident_block, slices, cfg.n_runs, BLOCK_RUNS, workers)
     totals = {a.label: np.zeros(cfg.scenario.signal_len) for a in algorithms}
     diagnostics = {}
     for esr, block_diagnostics in blocks:
@@ -428,9 +434,9 @@ def run_spectrum_experiment(cfg: ExperimentConfig, max_workers: int = 1):
     is scored by where its final estimate puts the top-s bins, s being the
     true spectrum's support size.  Raises ValueError when a filter diverges.
     """
-    _check_config(cfg, SpectrumScenario, max_workers)
+    workers = _check_config(cfg, SpectrumScenario, max_workers)
     size = max(1, SPECTRUM_BLOCK_ENTRIES // cfg.scenario.full_len)
-    blocks = _map_blocks(_spectrum_block, [cfg], cfg.n_runs, size, max_workers)
+    blocks = _map_blocks(_spectrum_block, [cfg], cfg.n_runs, size, workers)
     hit_rates = {a.label: [] for a in cfg.algorithms}
     true_bin_means = {a.label: [] for a in cfg.algorithms}
     for run, (truth, estimates) in enumerate(r for block in blocks for r in block):

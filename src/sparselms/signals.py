@@ -232,8 +232,10 @@ def gen_spectrum_stream(sc: SpectrumScenario, passes: int = 1) -> MeasurementStr
     repeated ``passes`` times in the same order to support retraining.
     """
     passes = check_count("passes", passes, 1)
-    rows = np.empty((sc.n_samples, sc.full_len), dtype=complex)
-    samples, truth = _spectrum_draw(sc, _root_table(sc.full_len), rows)
+    positions, samples, truth = _spectrum_draw(sc)
+    rows, table = np.empty((sc.n_samples, sc.full_len), dtype=complex), _root_table(sc.full_len)
+    for i, k in _phase_rows(positions, sc.full_len):
+        np.take(table, k, out=rows[i : i + len(k)], mode="clip")  # k is in range: no buffered out
     if passes == 1:
         return MeasurementStream(rows, samples, truth)
     return MeasurementStream(np.tile(rows, (passes, 1)), np.tile(samples, passes), truth)
@@ -243,12 +245,8 @@ def _root_table(L):
     return np.exp(-2j * np.pi * np.arange(L) / L) / np.sqrt(L)
 
 
-def _spectrum_draw(sc: SpectrumScenario, values, out):
-    """:func:`gen_spectrum_stream`'s draw of bins, noise and positions: ``(samples, truth)``.
-
-    Writes ``values[(p * k) % L]`` to ``out[t, k]`` by chunks of rows, ``p`` the t-th position:
-    with :func:`_root_table` as values, the input rows; with ``np.arange(L)``, their indices.
-    """
+def _spectrum_draw(sc: SpectrumScenario):
+    """:func:`gen_spectrum_stream`'s draw of bins, noise and positions: ``(positions, samples, truth)``."""
     rng = np.random.default_rng(sc.seed)
     L = sc.full_len
     bins = _tone_bins(sc, rng)
@@ -263,11 +261,16 @@ def _spectrum_draw(sc: SpectrumScenario, values, out):
     truth[L - bins] = 1j * amp
 
     positions = rng.choice(L, size=sc.n_samples, replace=False)
+    return positions, noisy[positions], truth
+
+
+def _phase_rows(positions, L):
+    """``(i, k)`` by chunks: ``k[t, j] = (positions[i + t] * j) % L``, the rows' root-table indices."""
+    # the products are int32 while (L - 1)**2 fits, else int64
+    j = np.arange(L, dtype=np.int32 if (L - 1) ** 2 <= np.iinfo(np.int32).max else np.int64)
     chunk = max(1, 2**15 // L)
-    for i in range(0, sc.n_samples, chunk):
-        k = np.multiply.outer(positions[i : i + chunk], t) % L
-        np.take(values, k, out=out[i : i + chunk], mode="clip")  # k is in range: no buffered out
-    return noisy[positions], truth
+    for i in range(0, len(positions), chunk):
+        yield i, np.multiply.outer(positions[i : i + chunk], j, dtype=j.dtype) % L
 
 
 # Relative spread allowed between the squared input-row norms of a stream.

@@ -31,7 +31,7 @@ from sparselms import (
     theorem1_condition,
     theorem2_condition,
 )
-from sparselms import cli, filters, harness, recovery
+from sparselms import cli, filters, harness, recovery, signals
 from sparselms.harness import LearningCurve, SpectrumReport, _ident_block
 from sparselms.signals import esr, esr_db
 from sparselms.thresholding import hard_threshold, support
@@ -283,24 +283,38 @@ class TestWorkerCount:
         assert report.n_runs == 1
 
     def test_pool_capped_at_usable_cpus(self, monkeypatch):
-        # no more shares than the CPUs this process may use; this process steps share 0
-        forked, _ = in_process_shares(monkeypatch, cpus=2)
-        # the partition stays the one asked for: 64 one-run blocks
-        assert mapped_runs(64, 48, 64) == [(r, r + 1) for r in range(64)]
-        assert mapped_runs(9, 8, 3) == [(0, 3), (3, 6), (6, 9)]
-        # two runner calls of two shares each: one child apiece
-        assert forked == [[(r, r + 1) for r in range(1, 64, 2)], [(3, 6)]]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
-        assert mapped_runs(9, 8, 3) == [(0, 3), (3, 6), (6, 9)]
-        assert len(forked) == 2  # one usable CPU: one share, no child
-        # without sched_getaffinity the CPU count caps the shares
+        # more workers than usable CPUs: blocks, roster slices and shares are cut for the
+        # CPUs, and this process steps share 0
+        forked, blocks = in_process_shares(monkeypatch, cpus=1, step=False)
+        spectrum_blocks = recorded_spectrum_blocks(monkeypatch)
+        args = cli.build_parser().parse_args(["ident", "--runs", "6", "--workers", "2"])
+        run_ident_experiment(cli._ident_experiment(args), max_workers=args.workers)
+        # one usable CPU: one whole-roster block, where two CPUs step two roster slices
+        assert blocks == [(cli_roster(), (0, 6))] and forked == []
+        cfg = small_spectrum_config(n_runs=9)
+        run_spectrum_experiment(cfg, max_workers=3)
+        assert spectrum_blocks == [(0, 9)] and forked == []  # one 9-run block, no child
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 7})
+        spectrum_blocks.clear()
+        run_spectrum_experiment(cfg, max_workers=3)
+        assert sorted(spectrum_blocks) == [(0, 5), (5, 9)] and forked == [[(5, 9)]]
+        # without sched_getaffinity the CPU count caps the workers
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert mapped_runs(10, 48, 5) == [(r, r + 2) for r in range(0, 10, 2)]
+        spectrum_blocks.clear()
+        run_spectrum_experiment(cfg, max_workers=5)
+        assert sorted(spectrum_blocks) == [(0, 3), (3, 6), (6, 9)]
+        assert forked[1:] == [[(3, 6)], [(6, 9)]]  # three shares: pair i goes to share i mod 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert mapped_runs(4, 48, 4) == [(r, r + 1) for r in range(4)]
-        # three shares: pair i goes to share i mod 3
-        assert forked[2:] == [[(2, 4), (8, 10)], [(4, 6)]]
+        spectrum_blocks.clear()
+        run_spectrum_experiment(cfg, max_workers=4)
+        assert spectrum_blocks == [(0, 9)] and len(forked) == 3
+
+    def test_blocks_cut_for_the_workers_asked(self):
+        # _map_blocks itself cuts for the workers its runner hands it
+        assert mapped_runs(64, 48, 64) == [(r, r + 1) for r in range(64)]
+        assert mapped_runs(9, 8, 3) == [(0, 3), (3, 6), (6, 9)]
+        assert mapped_runs(10, 48, 5) == [(r, r + 2) for r in range(0, 10, 2)]
 
 
 def block_args(*args):
@@ -334,6 +348,18 @@ def recorded_blocks(monkeypatch, step=True):
 
     ident_block = harness._ident_block
     monkeypatch.setattr(harness, "_ident_block", recorded)
+    return blocks
+
+
+def recorded_spectrum_blocks(monkeypatch):
+    """The runs of each spectrum block, in the order the blocks step."""
+    blocks, spectrum_block = [], harness._spectrum_block
+
+    def recorded(cfg, runs):
+        blocks.append(runs)
+        return spectrum_block(cfg, runs)
+
+    monkeypatch.setattr(harness, "_spectrum_block", recorded)
     return blocks
 
 
@@ -940,20 +966,62 @@ class TestRunSpectrumExperiment:
         truths = [np.array([truth for truth, _ in runs]) for runs in (parts, whole)]
         assert truths[0].tobytes() == truths[1].tobytes()
 
-    def test_block_size_leaves_artifacts_unchanged(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("n_samples", [24, 64])
+    def test_block_size_leaves_artifacts_unchanged(self, monkeypatch, tmp_path, n_samples):
         # the runners' one partition: 9 runs in blocks of 8 + 1 at one
-        # worker, of 3 + 3 + 3 at three
+        # worker, of 3 + 3 + 3 at three.  At n_samples == full_len every run
+        # samples every position, so each block holds the same 64 index rows
+        # for a different number of runs.
         assert mapped_runs(9, 8, 1) == [(0, 8), (8, 9)]
         assert mapped_runs(9, 8, 3) == [(0, 3), (3, 6), (6, 9)]
+        forked, _ = in_process_shares(monkeypatch, cpus=3)
         cfg = small_spectrum_config(n_runs=9)
-        artifacts = []
-        for cap in (None, 1, 3, 8):  # None: the default, one block of all 9 runs
-            if cap is not None:
-                monkeypatch.setattr(harness, "SPECTRUM_BLOCK_ENTRIES", cap * cfg.scenario.full_len)
-            paths = emit_outputs(run_spectrum_experiment(cfg), tmp_path / str(cap), experiment=cfg)
+        cfg.scenario.n_samples = n_samples
+        artifacts, default = [], harness.SPECTRUM_BLOCK_ENTRIES
+        # None: the default, one block of all 9 runs at one worker, 5 + 4 at two
+        for cap, workers in ((None, 1), (1, 1), (3, 1), (8, 1), (8, 3), (None, 2)):
+            entries = default if cap is None else cap * cfg.scenario.full_len
+            monkeypatch.setattr(harness, "SPECTRUM_BLOCK_ENTRIES", entries)
+            report = run_spectrum_experiment(cfg, max_workers=workers)
+            paths = emit_outputs(report, tmp_path / f"{cap}-{workers}", experiment=cfg)
             artifacts.append([path.read_bytes() for path in paths])
         assert all(a == artifacts[0] for a in artifacts)
+        assert forked == [[(3, 6)], [(6, 9)], [(5, 9)]]
 
+    @pytest.mark.parametrize("n_samples", [24, 64])
+    def test_block_holds_one_index_row_per_distinct_position(self, monkeypatch, n_samples):
+        # the runs of a block share the index rows of the positions they all sample
+        cfg = small_spectrum_config(n_runs=5)
+        cfg.scenario.n_samples = n_samples
+        built, phase_rows = [], harness._phase_rows
+
+        def recorded(positions, L):
+            built.append(positions)
+            return phase_rows(positions, L)
+
+        monkeypatch.setattr(harness, "_phase_rows", recorded)
+        harness._stack(cfg, (0, 5))
+        drawn = [signals._spectrum_draw(replace(cfg.scenario, seed=seed))[0] for seed in range(5)]
+        assert len(built) == 1
+        assert built[0].tolist() == sorted(set(np.concatenate(drawn).tolist()))
+        assert len(built[0]) < 5 * n_samples
+        if n_samples == cfg.scenario.full_len:
+            assert built[0].tolist() == list(range(64))
+
+    def test_default_block_index_is_small(self):
+        # the benchmark's block: 8 default runs draw 945 distinct positions of 1000,
+        # so its index holds 945 uint16 rows (1.9 MB) where one row a sample and
+        # run took 300 * 8 * 1000 * 2 B = 4.8 MB.  Set-up plus the first step peaked at
+        # 3.40 MB traced (6.19 MB with the old index).
+        cfg = cli._spectrum_experiment(cli.build_parser().parse_args(["spectrum", "--runs", "8"]))
+
+        def first_step(runs):
+            truths, updates = harness._stack(cfg, runs)
+            return next(updates)
+
+        first_step((8, 16))  # a first draw in the process allocates once
+        _, peak = traced_peak(first_step, (0, 8))
+        assert peak < 0.75 * 4_800_000
 
     def test_reused_cuts_leave_artifacts_unchanged(self, monkeypatch, tmp_path):
         # default-size runs, whose hard slices cut where their last cut kept,
@@ -1064,6 +1132,24 @@ class TestSpectrumClosedForms:
             top = support(hard_threshold(est["complex_hard_lms"], 20))
             assert np.array_equal(top, support(hard_threshold(back_projection, 20))), seed
 
+    def test_relaxed_keep_count_finds_what_hard_lms_misses(self):
+        """With half the default samples, a relaxed keep-count d = 4s finds more tones.
+
+        ``hard_lms`` keeps the top-s set of its first cut, which at 150 of
+        1000 samples misses some tone bins; ``hard_rel_lms`` keeps d = 80
+        taps, so bins outside that first set can still grow into its top s.
+        At ``full_len`` 1000, 10 tones and 150 samples over 20 runs the mean
+        top-s hit rates were 0.985 against 0.8425 (0.33 s, 2-vCPU VM).
+        """
+        sc = SpectrumScenario(full_len=1000, n_tones=10, n_samples=150)
+        algorithms = [
+            FilterConfig("hard_lms", n_taps=1000, mu=1.0, sparsity=20),
+            FilterConfig("hard_rel_lms", n_taps=1000, mu=1.0, sparsity=20, relaxed_sparsity=80),
+        ]
+        report = run_spectrum_experiment(ExperimentConfig(sc, algorithms, n_runs=20))
+        assert report.sparsity == 20
+        assert report.hit_rates["hard_rel_lms"] >= report.hit_rates["hard_lms"] + 0.1
+
 
 class TestBenchmarkScenarios:
     def test_lms_reaches_minus_20db_on_benchmark(self):
@@ -1102,6 +1188,22 @@ class TestBenchmarkScenarios:
         flags = [r["theorem1_holds"] for r in records]
         assert flags[0] is False
         assert flags[-1] is True
+
+    def test_hard_init_plateaus_one_tap_short_then_leaves(self):
+        """Run 0 at the CLI defaults: ``hard_init_lms`` holds 27 of 28 taps, then finds the last.
+
+        With one unit tap of 28 missing, the ESR sits near 1/s, -10 log10(28)
+        = -14.47 dB.  Its snapshots at 750, 1000 and 1250 read -13.68,
+        -14.13 and -14.31 dB at a hit rate of 27/28, and the one at 1500
+        reads 1.0 (-16.91 dB).
+        """
+        args = cli.build_parser().parse_args(["ident", "--runs", "1"])
+        diagnostics = ident_diagnostics(cli._ident_experiment(args))
+        records = {r["iteration"]: r for r in diagnostics["hard_init_lms"]}
+        for iteration in (750, 1000, 1250):
+            assert records[iteration]["support_hit_rate"] == 27 / 28, iteration
+            assert abs(records[iteration]["esr_db"] + 10 * np.log10(28)) <= 1.0, iteration
+        assert records[1500]["support_hit_rate"] == 1.0
 
 
 class TestDiagnoseRun:

@@ -17,7 +17,14 @@ from sparselms import (
     support,
 )
 from sparselms.harness import _stack
-from sparselms.signals import WINDOW_ROWS, _ident_draw, _tone_bins, check_count, check_counts
+from sparselms.signals import (
+    WINDOW_ROWS,
+    _ident_draw,
+    _phase_rows,
+    _tone_bins,
+    check_count,
+    check_counts,
+)
 
 
 class TestCheckCount:
@@ -449,6 +456,13 @@ class TestChunkedSpectrumRows:
         # default 1000 (measured 3.2e-14), 2.5e-13 at 2**15 + 1 (2.0e-13)
         bound = max(1e-13, 4 * np.pi * np.finfo(float).eps * np.sqrt(sc.full_len))
         assert np.max(np.abs(got.inputs - former.inputs)) <= bound
+
+    @pytest.mark.parametrize("full_len", [46341, 46342])
+    def test_index_rows_exact_at_the_int32_bound(self, full_len):
+        # (full_len - 1)**2 fits int32 at 46341, and not at 46342, whose products are int64
+        positions = [1, full_len // 2, full_len - 2, full_len - 1]
+        got = np.concatenate([k for _, k in _phase_rows(np.array(positions), full_len)])
+        assert got.tolist() == [[p * j % full_len for j in range(full_len)] for p in positions]
 
     def test_peak_memory_close_to_the_rows(self):
         # the whole-matrix draw peaked at ~2.1x the rows it returned
