@@ -8,6 +8,7 @@ nonzero on validation or I/O failure.
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -191,5 +192,11 @@ def main(argv=None):
     return 0
 
 
+def run():
+    """Process entry: freeze the start-up heap, which no collection walks again, then ``main()``."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

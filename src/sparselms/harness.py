@@ -593,10 +593,6 @@ def _items(values, pad):
     return [template % row for row in zip(*columns)]
 
 
-def _fmt(value):
-    return repr(float(value))
-
-
 def _write_text(path, text):
     with open(path, "w", newline="") as fh:
         fh.write(text)
@@ -605,8 +601,10 @@ def _write_text(path, text):
 def _write_csv(path, header, first_index, columns):
     """Write ``header``, then row i as ``first_index + i`` and entry i of every column."""
     lines = [",".join(header)]
-    for i, row in enumerate(zip(*columns), first_index):
-        lines.append(",".join([str(i), *map(_fmt, row)]))
+    # float.__repr__ of a column's tolist() is repr(float(v)) of each entry, in one pass
+    cells = [map(float.__repr__, column.tolist()) for column in columns]
+    for i, row in enumerate(zip(*cells), first_index):
+        lines.append(",".join([str(i), *row]))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import sparselms
+from sparselms import cli
 from sparselms.cli import _option_types, build_parser, main
 
 
@@ -475,3 +477,58 @@ def test_cli_import_starts_no_process_pool_machinery():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("status", [0, 1])
+    def test_run_freezes_then_returns_main_status(self, monkeypatch, status):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or status)
+        assert cli.run() == status
+        assert calls == ["freeze", "main"]
+
+    def test_main_in_process_does_not_freeze(self, tmp_path, capsys):
+        before = gc.get_freeze_count()
+        argv = ["ident", *SMALL_RUNS["ident"], "--runs", "1", "--out", str(tmp_path / "res")]
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_only_the_process_entry_freezes(self):
+        # the import heap (~22,000 objects, mostly NumPy's) is frozen by run(), not by the import
+        code = (
+            "import gc, sparselms.cli as c; print(gc.get_freeze_count()); "
+            "c.main = lambda: print(gc.get_freeze_count()) or 0; raise SystemExit(c.run())"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sparselms.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        imported, entered = map(int, done.stdout.split())
+        assert imported == 0
+        assert entered > 10_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ident", *SMALL_RUNS["ident"], "--runs", "2", "--snapshot-every", "1"],
+         ["spectrum", *SMALL_RUNS["spectrum"], "--runs", "2"]],
+        ids=["ident", "spectrum"],
+    )
+    def test_module_entry_matches_main_in_process(self, tmp_path, monkeypatch, capsys, argv):
+        # the same relative --out in two directories, so the "wrote" lines match too
+        child, here = tmp_path / "child", tmp_path / "here"
+        child.mkdir()
+        here.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(sparselms.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "sparselms.cli", *argv, "--out", "res"],
+            cwd=child, env=env, capture_output=True, text=True,
+        )
+        monkeypatch.chdir(here)
+        assert main([*argv, "--out", "res"]) == done.returncode == 0
+        captured = capsys.readouterr()
+        assert (done.stdout, done.stderr) == (captured.out, captured.err)
+        names = sorted(p.name for p in (child / "res").iterdir())
+        assert names == sorted(p.name for p in (here / "res").iterdir())
+        for name in names:
+            assert (child / "res" / name).read_bytes() == (here / "res" / name).read_bytes()
