@@ -8,7 +8,8 @@ seven are one update, a gradient step followed by an optional attractor
 and an optional projection, which one table (``_VARIANTS``) assigns per
 variant.  States are treated as immutable; each step returns a fresh
 estimate.  :class:`StackStepper` updates an (algorithms, runs, taps) stack in
-place, a settled hard-threshold slice of long rows on its kept taps alone.
+place; given a bound on the input magnitudes, it steps a settled
+hard-threshold slice on its kept taps alone.
 
 The inner product is ``w^H x`` (conjugation on the estimate) and the
 gradient step adds ``mu * conj(e) * x``; for real data both reduce to the
@@ -24,8 +25,6 @@ import numpy as np
 
 from .signals import check_count, check_counts
 from .thresholding import _below_cut, _penalty, hard_threshold
-
-REUSE_TAPS = 512  # rows at least this long cut where the last hard threshold kept
 
 __all__ = [
     "Algorithm",
@@ -221,17 +220,16 @@ class _KeptCut:
     def step(self, w, new, err, x):
         """Write the thresholded gradient step from ``w`` to ``new``.
 
-        Steps only the kept taps when each row kept exactly ``keep`` and a
-        bound (``peak`` above every ``|x_j|``; None: from ``x``) puts every
-        other tap below its row's smallest new kept magnitude (README, Conventions).
+        Steps only the kept taps when each row kept exactly ``keep`` and the
+        bound from ``peak``, above every ``|x_j|``, puts every other tap
+        below its row's smallest new kept magnitude (README, Conventions).
         """
         kept, keep, mu = self.kept, self.keep, self.mu
         if kept.size == len(w) * keep:
             values = _gradient(w.take(kept).reshape(-1, keep), err, x.take(kept).reshape(-1, keep), mu)
             cut = np.abs(values).min(axis=1, keepdims=True)
-            peak = np.abs(x).max(axis=1, keepdims=True) if self.peak is None else self.peak
             # |e| peak first, so that an overflowing conj(e)*x_j makes the bound infinite
-            if ((abs(err) * peak * self.slack * abs(mu) < cut) & (cut >= self.tiny)).all():
+            if ((abs(err) * self.peak * self.slack * abs(mu) < cut) & (cut >= self.tiny)).all():
                 if self.held is not kept:
                     new.put(self.held, 0)
                 new.put(kept, values)
@@ -280,9 +278,8 @@ class StackStepper:
     Row ``r`` of slice ``i`` gets :func:`step` under ``cfgs[i]`` bit for
     bit: ``np.vecdot`` forms the errors' ``w^H x`` with ``np.vdot``'s kernel.
     A ``scale``, one number or one per run, multiplies each config's ``mu``.
-    A hard-threshold slice of ``REUSE_TAPS`` taps or more steps through a
-    :class:`_KeptCut`, given ``peak``, a bound on every input magnitude, if
-    known; on shorter rows, whose support moves most steps, the sort is cheaper.
+    Given ``peak``, a bound on every input magnitude, each hard-threshold
+    slice steps through a :class:`_KeptCut`; without one every cut sorts.
     """
 
     def __init__(self, estimates, cfgs, scale=1.0, peak=None):
@@ -299,7 +296,7 @@ class StackStepper:
         mags = np.empty(w.shape[1:], w.real.dtype)
         self._scratch = np.empty_like(w[0]), mags, np.empty_like(mags), np.empty(mags.shape, bool)
         cut = lambda i, keep: _KeptCut(w[i], keep, self._mus[i], peak, self._scratch[1:])
-        self._tails = [(i, t, cut(i, t[2]) if t[2] and w.shape[-1] >= REUSE_TAPS else None)
+        self._tails = [(i, t, cut(i, t[2]) if t[2] and peak is not None else None)
                        for i, t in enumerate(map(_tail, cfgs)) if t is not None]
 
     def step(self, inputs, outputs, iteration):

@@ -1023,30 +1023,55 @@ class TestRunSpectrumExperiment:
         _, peak = traced_peak(first_step, (0, 8))
         assert peak < 0.75 * 4_800_000
 
-    def test_reused_cuts_leave_artifacts_unchanged(self, monkeypatch, tmp_path):
-        # default-size runs, whose hard slices cut where their last cut kept,
-        # against runs whose every cut sorts
-        sc = SpectrumScenario()
+    @pytest.mark.parametrize("full_len,n_tones,n_samples,sparsity", [
+        (1000, 10, 300, 20),  # the default runs
+        (128, 3, 48, 6),
+    ])
+    def test_reused_cuts_leave_artifacts_unchanged(
+        self, monkeypatch, tmp_path, full_len, n_tones, n_samples, sparsity
+    ):
+        # runs whose hard slices cut where their last cut kept, against runs
+        # whose stepper has no bound on |x|, so that every cut sorts
+        sc = SpectrumScenario(full_len=full_len, n_tones=n_tones, n_samples=n_samples)
         algorithms = [
-            FilterConfig("lms", n_taps=sc.full_len, mu=1.0, label="complex_lms"),
-            FilterConfig("hard_lms", n_taps=sc.full_len, mu=1.0, sparsity=20,
+            FilterConfig("lms", n_taps=full_len, mu=1.0, label="complex_lms"),
+            FilterConfig("hard_lms", n_taps=full_len, mu=1.0, sparsity=sparsity,
                          label="complex_hard_lms"),
         ]
         cfg = ExperimentConfig(scenario=sc, algorithms=algorithms, n_runs=2, passes=3)
-        assert filters.REUSE_TAPS <= sc.full_len
         calls, below_cut = [], filters._below_cut
         monkeypatch.setattr(filters, "_below_cut", lambda *a: calls.append(a) or below_cut(*a))
+        unbounded = lambda estimates, cfgs, scale, peak: filters.StackStepper(estimates, cfgs, scale)
         artifacts = []
-        for reuse_taps in (filters.REUSE_TAPS, sc.full_len + 1):
-            monkeypatch.setattr(filters, "REUSE_TAPS", reuse_taps)
+        for name, stepper in (("bounded", filters.StackStepper), ("unbounded", unbounded)):
+            monkeypatch.setattr(harness, "StackStepper", stepper)
             calls.clear()
             report = run_spectrum_experiment(cfg)
-            paths = emit_outputs(report, tmp_path / str(reuse_taps), experiment=cfg)
+            paths = emit_outputs(report, tmp_path / name, experiment=cfg)
             artifacts.append(([path.read_bytes() for path in paths], len(calls)))
         (reused, reused_sorts), (sorted_, sorts) = artifacts
         assert reused == sorted_
         # both passes after the warm-up pass cut every step
-        assert sorts == 2 * sc.n_samples and reused_sorts <= sorts // 100
+        assert sorts == 2 * sc.n_samples and reused_sorts < sorts
+        if full_len == 1000:
+            assert reused_sorts <= sorts // 100
+
+    def test_identification_at_520_taps_steps_dense(self, monkeypatch):
+        # identification has no bound on |x|, so no row length gives its hard slices a _KeptCut
+        def sparse_step(*a):
+            raise AssertionError("an identification hard slice stepped through a _KeptCut")
+
+        monkeypatch.setattr(filters._KeptCut, "step", sparse_step)
+        kw = dict(n_taps=520, mu=0.003, sparsity=28)
+        algorithms = [
+            FilterConfig("hard_lms", **kw),
+            FilterConfig("hard_init_lms", warmup_steps=200, **kw),
+            FilterConfig("hard_rel_lms", relaxed_sparsity=56, **kw),
+        ]
+        cfg = small_ident_config(n_runs=2, algorithms=algorithms, n_taps=520, n_nonzero=28,
+                                 signal_len=600)
+        esr, _ = _ident_block(cfg, (0, 2))
+        assert all(rows.shape == (2, 600) and np.isfinite(rows).all() for rows in esr.values())
 
     def test_default_block_steps_its_hard_slice_sparsely(self, monkeypatch):
         # the benchmark's block: 8 default runs, of which hard LMS thresholds 9 of 10 passes
