@@ -20,7 +20,7 @@ from .harness import (
     run_ident_experiment,
     run_spectrum_experiment,
 )
-from .signals import IdentScenario, SpectrumScenario
+from .signals import IdentScenario, SpectrumScenario, check_count
 
 IDENT_ALGORITHMS = list(PARAMETERS)
 
@@ -162,6 +162,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
+        workers = check_count("max_workers", args.workers, 1)
         if args.command == "ident":
             cfg = _ident_experiment(args)
             for a in cfg.algorithms:
@@ -173,14 +174,14 @@ def main(argv=None):
                     print(f"warning: mu {a.mu} exceeds the mean-square stability bound 2/(K+2) = "
                           f"{2.0 / (keep + 2):.4g} of {a.label} (K = {keep}); it may diverge",
                           file=sys.stderr)
-            curves = run_ident_experiment(cfg, max_workers=args.workers)
+            curves = run_ident_experiment(cfg, max_workers=workers)
             diagnostics = {label: curve.diagnostics for label, curve in curves.items()}
             paths = emit_outputs(curves, args.out, experiment=cfg, diagnostics=diagnostics)
             for label, curve in curves.items():
                 print(f"{label}: final ESR {curve.esr_db[-1]:.2f} dB over {curve.n_runs} runs")
         else:
             cfg = _spectrum_experiment(args)
-            report = run_spectrum_experiment(cfg, max_workers=args.workers)
+            report = run_spectrum_experiment(cfg, max_workers=workers)
             paths = emit_outputs(report, args.out, experiment=cfg)
             for label, rate in report.hit_rates.items():
                 print(f"{label}: mean support hit rate {rate:.3f} over {report.n_runs} runs")

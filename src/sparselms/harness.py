@@ -103,6 +103,9 @@ class ExperimentConfig:
 
     def validate(self):
         """Raise ValueError naming the first field that no runner accepts, nested ones included."""
+        if not isinstance(self.scenario, (IdentScenario, SpectrumScenario)):
+            raise ValueError("scenario: expected IdentScenario or SpectrumScenario, "
+                             f"got {type(self.scenario).__name__}")
         ident = isinstance(self.scenario, IdentScenario)
         if ident and self.passes != 1:
             raise ValueError(f"passes: identification steps its samples once, got {self.passes}")
@@ -113,13 +116,22 @@ class ExperimentConfig:
             self.snapshot_every = check_count("snapshot_every", self.snapshot_every, 1)
         if not self.algorithms:
             raise ValueError("algorithms: at least one algorithm is required")
+        for i, a in enumerate(self.algorithms):
+            if not isinstance(a, FilterConfig):
+                raise ValueError(f"algorithms[{i}]: expected FilterConfig, got {type(a).__name__}")
+        length = "n_taps" if ident else "full_len"
+        taps = getattr(self.scenario, length)
         for nested in (self.scenario, *self.algorithms):
-            if isinstance(nested, (IdentScenario, SpectrumScenario, FilterConfig)):
-                try:
-                    nested.__post_init__()
-                except ValueError as exc:
-                    name = "scenario" if nested is self.scenario else f"algorithms[{nested.label}]"
-                    raise ValueError(f"{name}: {exc}") from exc
+            try:
+                nested.__post_init__()
+            except ValueError as exc:
+                name = "scenario" if nested is self.scenario else f"algorithms[{nested.label}]"
+                raise ValueError(f"{name}: {exc}") from exc
+            if nested is not self.scenario and nested.n_taps != taps:
+                raise ValueError(f"algorithms[{nested.label}].n_taps ({nested.n_taps}) must equal "
+                                 f"scenario.{length} ({taps})")
+        if ident:
+            check_count("snapshot_every", self.snapshot_every, 1, self.scenario.signal_len)
         labels = [a.label for a in self.algorithms]
         dupes = {l for l in labels if labels.count(l) > 1}
         if dupes:
@@ -354,20 +366,6 @@ def _check_config(cfg, scenario_type, max_workers=1):
             f"scenario: expected {scenario_type.__name__}, got {type(cfg.scenario).__name__}"
         )
     cfg.validate()
-    spectrum = scenario_type is SpectrumScenario
-    length = "full_len" if spectrum else "n_taps"
-    n_taps = getattr(cfg.scenario, length)
-    for a in cfg.algorithms:
-        if a.n_taps != n_taps:
-            raise ValueError(
-                f"algorithms[{a.label}].n_taps ({a.n_taps}) must equal "
-                f"scenario.{length} ({n_taps})"
-            )
-    if not spectrum and cfg.snapshot_every > cfg.scenario.signal_len:
-        raise ValueError(
-            f"snapshot_every ({cfg.snapshot_every}) must not exceed signal_len "
-            f"({cfg.scenario.signal_len}), or run 0 gets no diagnostics"
-        )
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(check_count("max_workers", max_workers, 1), cpus or 1)
 

@@ -11,6 +11,7 @@ import pytest
 import sparselms
 from sparselms import cli
 from sparselms.cli import _option_types, build_parser, main
+from sparselms.signals import check_count
 
 
 def run_cli(args):
@@ -203,6 +204,7 @@ OUT_OF_RANGE = [
     ("ident", "--relaxed-sparsity", "256", "relaxed_sparsity"),
     ("ident", "--warmup", "-1", "warmup_steps"),
     ("ident", "--snapshot-every", "0", "snapshot_every"),
+    ("ident", "--snapshot-every", "2001", "snapshot_every"),
     ("ident", "--runs", "0", "n_runs"),
     ("ident", "--seed", "-1", "seed"),
     ("ident", "--workers", "0", "max_workers"),
@@ -220,15 +222,31 @@ OUT_OF_RANGE = [
 ]
 
 
-@pytest.mark.parametrize("command,option,value,field", OUT_OF_RANGE)
-def test_out_of_range_integer_names_its_own_field(tmp_path, capsys, command, option, value, field):
+def assert_one_error_line(tmp_path, capsys, argv, field, value):
+    """``argv`` exits 1 with one stderr line naming ``field`` and ``value``, and writes nothing."""
     out = tmp_path / "res"
-    assert run_cli([command, option, value, "--out", str(out)]) == 1
+    assert run_cli([*argv, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {field} must ") and line.endswith(f", got {value}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option,value,field", OUT_OF_RANGE)
+def test_out_of_range_integer_names_its_own_field(tmp_path, capsys, command, option, value, field):
+    assert_one_error_line(tmp_path, capsys, [command, option, value], field, value)
+
+
+@pytest.mark.parametrize(
+    "option,value,field", [row[1:] for row in OUT_OF_RANGE if row[0] == "ident"]
+)
+def test_out_of_range_integer_fails_before_any_step_size_warning(
+    tmp_path, capsys, option, value, field
+):
+    # --mu 0.01 is above the 256-tap stability bound, so a run that started would warn first
+    argv = ["ident", "--mu", "0.01", option, value]
+    assert_one_error_line(tmp_path, capsys, argv, field, value)
 
 
 def test_every_integer_option_swept():
@@ -237,6 +255,48 @@ def test_every_integer_option_swept():
         for dest, convert in _option_types(build_parser(), command).items():
             if convert is int:
                 assert (command, "--" + dest.replace("_", "-")) in swept
+
+
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def worker_count_table():
+    """The ``(name, counts, argv)`` rows of the workflow's worker-count step, read as text.
+
+    The rows are the lines of the step's first here-document that are
+    neither blank nor ``#`` comments.
+    """
+    lines = iter(WORKFLOW.read_text().splitlines())
+    for line in lines:
+        if line.strip() == "- name: CLI artifacts independent of the worker count":
+            break
+    for line in lines:
+        if line.strip().endswith("<<'EOF'"):
+            break
+    rows = []
+    for line in map(str.strip, lines):
+        if line == "EOF":
+            return rows
+        if line and not line.startswith("#"):
+            name, counts, *argv = line.split()
+            rows.append((name, counts, argv))
+    raise AssertionError(f"{WORKFLOW}: the worker-count table has no closing EOF")
+
+
+def test_workflow_worker_count_table_builds():
+    rows = worker_count_table()
+    assert len(rows) >= 9
+    names = [name for name, _, _ in rows]
+    assert len(set(names)) == len(names)
+    for name, counts, argv in rows:
+        # each count is one --workers value compared against the one-worker run
+        for count in counts.split(","):
+            check_count("max_workers", int(count), 2)
+        args = build_parser().parse_args(argv)
+        # the loop supplies --workers and --out
+        assert (args.workers, args.out) == (1, "results"), name
+        experiment = cli._ident_experiment if args.command == "ident" else cli._spectrum_experiment
+        experiment(args)
 
 
 class TestSpectrumCommand:

@@ -74,6 +74,7 @@ ASSIGNED_OWNED = {
     "ident": [
         ("snapshot_every", 0, "snapshot_every must be >= 1"),
         ("snapshot_every", None, "snapshot_every must be an integer, got None"),
+        ("snapshot_every", 151, "snapshot_every must satisfy 1 <= snapshot_every <= 150"),
         ("passes", 0, "passes: identification steps its samples once"),
         ("passes", 2, "passes: identification steps its samples once"),
     ],
@@ -102,6 +103,16 @@ ASSIGNED_NESTED = [
 
 def no_draw(*args, **kwargs):
     raise AssertionError("a stream was drawn before the config was checked")
+
+
+def assert_rejected_before_any_draw(monkeypatch, kind, cfg, match):
+    """The runner of ``kind``, and for "ident" ``ident_diagnostics``, raise ``match`` undrawn."""
+    monkeypatch.setattr(harness, "_ident_draw", no_draw)
+    monkeypatch.setattr(harness, "_spectrum_draw", no_draw)
+    ident = kind == "ident"
+    for runner in [run_ident_experiment, ident_diagnostics] if ident else [run_spectrum_experiment]:
+        with pytest.raises(ValueError, match=match):
+            runner(cfg)
 
 
 class TestExperimentConfig:
@@ -152,14 +163,7 @@ class TestExperimentConfig:
     ):
         cfg = small_ident_config() if kind == "ident" else small_spectrum_config()
         setattr(cfg, field, value)
-        monkeypatch.setattr(harness, "_ident_draw", no_draw)
-        monkeypatch.setattr(harness, "_spectrum_draw", no_draw)
-        runner = run_ident_experiment if kind == "ident" else run_spectrum_experiment
-        with pytest.raises(ValueError, match=match):
-            runner(cfg)
-        if kind == "ident":
-            with pytest.raises(ValueError, match=match):
-                ident_diagnostics(cfg)
+        assert_rejected_before_any_draw(monkeypatch, kind, cfg, match)
 
     @pytest.mark.parametrize(
         "scenario,kw,match",
@@ -181,17 +185,45 @@ class TestExperimentConfig:
     ):
         cfg = small_ident_config() if kind == "ident" else small_spectrum_config()
         setattr(cfg.scenario if nested == "scenario" else cfg.algorithms[-1], field, value)
-        monkeypatch.setattr(harness, "_ident_draw", no_draw)
-        monkeypatch.setattr(harness, "_spectrum_draw", no_draw)
-        runner = run_ident_experiment if kind == "ident" else run_spectrum_experiment
         # the message names the nested config that failed
         prefix = "scenario" if nested == "scenario" else f"algorithms[{cfg.algorithms[-1].label}]"
         match = "^" + re.escape(f"{prefix}: {match}")
+        assert_rejected_before_any_draw(monkeypatch, kind, cfg, match)
+
+    @pytest.mark.parametrize("kind", ["ident", "spectrum"])
+    def test_taps_assigned_after_build_rejected_by_runner(self, monkeypatch, kind):
+        cfg = small_ident_config() if kind == "ident" else small_spectrum_config()
+        cfg.algorithms[-1].n_taps = 8
+        # the filter's own field, so no ": " follows its label
+        length = "scenario.n_taps (16)" if kind == "ident" else "scenario.full_len (64)"
+        match = f"algorithms[{cfg.algorithms[-1].label}].n_taps (8) must equal {length}"
+        assert_rejected_before_any_draw(monkeypatch, kind, cfg, "^" + re.escape(match))
+
+    @pytest.mark.parametrize("kind", ["ident", "spectrum"])
+    def test_foreign_roster_entry_rejected(self, monkeypatch, kind):
+        cfg = small_ident_config() if kind == "ident" else small_spectrum_config()
+        with pytest.raises(ValueError, match=r"^algorithms\[1\]: expected FilterConfig, got str$"):
+            ExperimentConfig(cfg.scenario, [cfg.algorithms[0], "lms"])
+        cfg.algorithms.append(None)
+        match = r"^algorithms\[2\]: expected FilterConfig, got NoneType$"
+        assert_rejected_before_any_draw(monkeypatch, kind, cfg, match)
+
+    @pytest.mark.parametrize("scenario", [None, "ident", FilterConfig("lms", n_taps=16, mu=0.02)])
+    def test_unknown_scenario_type_rejected(self, monkeypatch, scenario):
+        algorithms = small_ident_config().algorithms
+        match = "^" + re.escape(
+            f"scenario: expected IdentScenario or SpectrumScenario, got {type(scenario).__name__}"
+        )
         with pytest.raises(ValueError, match=match):
-            runner(cfg)
-        if kind == "ident":
-            with pytest.raises(ValueError, match=match):
-                ident_diagnostics(cfg)
+            ExperimentConfig(scenario, algorithms)
+        cfg = small_ident_config()
+        cfg.scenario = scenario
+        with pytest.raises(ValueError, match=match):
+            cfg.validate()
+        # each runner names the kind it runs first
+        for kind, expected in [("ident", "IdentScenario"), ("spectrum", "SpectrumScenario")]:
+            match = f"^scenario: expected {expected}, got {type(scenario).__name__}$"
+            assert_rejected_before_any_draw(monkeypatch, kind, cfg, match)
 
     def test_wrong_scenario_named_before_its_fields(self, monkeypatch):
         # a spectrum scenario handed to identification is named, broken fields or not
@@ -229,9 +261,9 @@ class TestExperimentConfig:
 
     def test_taps_mismatch_names_field(self):
         sc = IdentScenario(n_taps=8, n_nonzero=2, signal_len=10)
-        cfg = ExperimentConfig(scenario=sc, algorithms=[FilterConfig("lms", n_taps=4, mu=0.1)])
-        with pytest.raises(ValueError, match="n_taps"):
-            run_ident_experiment(cfg)
+        match = "^" + re.escape("algorithms[lms].n_taps (4) must equal scenario.n_taps (8)")
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(scenario=sc, algorithms=[FilterConfig("lms", n_taps=4, mu=0.1)])
 
     def test_scenario_kind_checked(self):
         cfg = small_spectrum_config()
@@ -250,16 +282,13 @@ class TestSnapshotCadence:
             assert [r["iteration"] for r in curve.diagnostics] == [100]
 
     def test_cadence_beyond_signal_rejected(self):
-        cfg = ExperimentConfig(
-            scenario=IdentScenario(n_taps=16, n_nonzero=3, signal_len=100),
-            algorithms=[FilterConfig("lms", n_taps=16, mu=0.02)],
-            snapshot_every=500,
-        )
-        match = r"snapshot_every \(500\) must not exceed signal_len \(100\)"
+        match = "^" + re.escape("snapshot_every must satisfy 1 <= snapshot_every <= 100, got 500")
         with pytest.raises(ValueError, match=match):
-            run_ident_experiment(cfg)
-        with pytest.raises(ValueError, match=match):
-            ident_diagnostics(cfg)
+            ExperimentConfig(
+                scenario=IdentScenario(n_taps=16, n_nonzero=3, signal_len=100),
+                algorithms=[FilterConfig("lms", n_taps=16, mu=0.02)],
+                snapshot_every=500,
+            )
 
 
 class TestWorkerCount:
